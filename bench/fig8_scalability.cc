@@ -2,7 +2,7 @@
 // database size.
 //   8(a) checkpoint duration vs database size
 //   8(b) total transactions lost vs database size
-//   8(c) [extension] capture duration vs capture_threads, unthrottled
+//   8(c) [extension] capture duration vs storage_shards, unthrottled
 //
 // Expected shape for (a)/(b): both are linear in database size — "the
 // recording of a checkpoint is limited by disk bandwidth in our system,
@@ -10,13 +10,14 @@
 // disk IO". The paper sweeps 10/50/100/150M records; this harness sweeps
 // the same 1:5:10:15 proportions scaled by --base_records.
 //
-// The (c) sweep runs the capture phase with 1..N segment writers over an
+// The (c) sweep partitions the store into 1..N shards and captures with
+// one segment writer per shard (capture_threads = shards) over an
 // unthrottled disk (the shared token bucket otherwise caps the aggregate
 // rate and flattens the curve by design): capture wall time should fall
-// with thread count until the device or the core count saturates.
+// with the shard count until the device or the core count saturates.
 //
 // Flags: --base_records --seconds --threads --disk_mbps --algo=calc
-//        --thread_sweep=1,2,4 --json_out=BENCH_fig8.json
+//        --shard_sweep=1,2,4 --json_out=BENCH_fig8.json
 
 #include "bench/bench_common.h"
 
@@ -106,17 +107,17 @@ int main(int argc, char** argv) {
   std::printf("\nlinearity check: duration/records should be constant "
               "across the sweep (disk-bandwidth-bound capture).\n");
 
-  // --- 8(c): capture-phase scalability with segment-writer count ---
-  struct ThreadRow {
-    int capture_threads;
+  // --- 8(c): capture-phase scalability with shard (segment) count ---
+  struct ShardRow {
+    int shards;
     double capture_s;
     uint64_t committed;
     uint64_t segments;
   };
-  std::vector<ThreadRow> thread_rows;
+  std::vector<ShardRow> shard_rows;
   std::vector<int> sweep;
   {
-    std::string list = flags.Str("thread_sweep", "1,2,4");
+    std::string list = flags.Str("shard_sweep", "1,2,4");
     size_t pos = 0;
     while (pos < list.size()) {
       size_t comma = list.find(',', pos);
@@ -127,12 +128,11 @@ int main(int argc, char** argv) {
     }
   }
   uint64_t sweep_records = base_records * 4;
-  for (int capture_threads : sweep) {
-    std::printf("running %s @ %llu records, capture_threads=%d, "
+  for (int shards : sweep) {
+    std::printf("running %s @ %llu records, storage_shards=%d, "
                 "unthrottled...\n",
                 AlgorithmName(algo),
-                static_cast<unsigned long long>(sweep_records),
-                capture_threads);
+                static_cast<unsigned long long>(sweep_records), shards);
     std::fflush(stdout);
     RunConfig config = ConfigFromFlags(flags);
     config.algorithm = algo;
@@ -140,29 +140,30 @@ int main(int argc, char** argv) {
     config.seconds = static_cast<int>(flags.Int("seconds", 14));
     config.ckpt_at = {config.seconds * 0.15};
     config.disk_bytes_per_sec = 0;  // expose the parallelism, not the cap
-    config.capture_threads = capture_threads;
+    config.storage_shards = shards;
+    config.capture_threads = shards;
     RunResult result = RunMicrobenchExperiment(config);
-    ThreadRow row;
-    row.capture_threads = capture_threads;
+    ShardRow row;
+    row.shards = shards;
     row.capture_s =
         result.cycles.empty()
             ? 0
             : static_cast<double>(result.cycles[0].capture_micros) / 1e6;
     row.committed = result.total_committed;
     row.segments = result.cycles.empty() ? 0 : result.cycles[0].segments;
-    thread_rows.push_back(row);
+    shard_rows.push_back(row);
   }
 
-  std::printf("\n--- Figure 8(c): capture duration vs capture_threads "
+  std::printf("\n--- Figure 8(c): capture duration vs storage_shards "
               "(unthrottled) ---\n");
-  std::printf("%-16s %12s %10s %14s %10s\n", "capture_threads",
+  std::printf("%-16s %12s %10s %14s %10s\n", "storage_shards",
               "capture_s", "segments", "committed", "speedup");
-  for (const ThreadRow& row : thread_rows) {
-    double speedup = (row.capture_s > 0 && !thread_rows.empty())
-                         ? thread_rows[0].capture_s / row.capture_s
+  for (const ShardRow& row : shard_rows) {
+    double speedup = (row.capture_s > 0 && !shard_rows.empty())
+                         ? shard_rows[0].capture_s / row.capture_s
                          : 0;
-    std::printf("%-16d %12.3f %10llu %14llu %9.2fx\n",
-                row.capture_threads, row.capture_s,
+    std::printf("%-16d %12.3f %10llu %14llu %9.2fx\n", row.shards,
+                row.capture_s,
                 static_cast<unsigned long long>(row.segments),
                 static_cast<unsigned long long>(row.committed), speedup);
   }
@@ -187,16 +188,16 @@ int main(int argc, char** argv) {
                      static_cast<long long>(rows[i].lost),
                      i + 1 < rows.size() ? "," : "");
       }
-      std::fprintf(jf, "  ],\n  \"capture_thread_sweep\": [\n");
-      for (size_t i = 0; i < thread_rows.size(); ++i) {
+      std::fprintf(jf, "  ],\n  \"shard_sweep\": [\n");
+      for (size_t i = 0; i < shard_rows.size(); ++i) {
         std::fprintf(
             jf,
-            "    {\"capture_threads\": %d, \"capture_s\": %.6f, "
+            "    {\"storage_shards\": %d, \"capture_s\": %.6f, "
             "\"segments\": %llu, \"committed\": %llu}%s\n",
-            thread_rows[i].capture_threads, thread_rows[i].capture_s,
-            static_cast<unsigned long long>(thread_rows[i].segments),
-            static_cast<unsigned long long>(thread_rows[i].committed),
-            i + 1 < thread_rows.size() ? "," : "");
+            shard_rows[i].shards, shard_rows[i].capture_s,
+            static_cast<unsigned long long>(shard_rows[i].segments),
+            static_cast<unsigned long long>(shard_rows[i].committed),
+            i + 1 < shard_rows.size() ? "," : "");
       }
       std::fprintf(jf, "  ]\n}\n");
       std::fclose(jf);

@@ -3,13 +3,9 @@
 #include <atomic>
 #include <cassert>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "obs/obs.h"
-#include "storage/memory_tracker.h"
 #include "util/clock.h"
-#include "util/fault_injection.h"
 
 namespace calcdb {
 
@@ -33,20 +29,6 @@ int64_t EmitPhaseSpan(const char* algo, const char* phase,
   return now;
 }
 
-// Per-segment capture span names must be string literals (the trace ring
-// stores the pointer, not a copy); workers beyond the table share one
-// overflow name.
-const char* SegmentSpanName(size_t seg) {
-  static constexpr const char* kNames[] = {
-      "capture.seg0",  "capture.seg1",  "capture.seg2",  "capture.seg3",
-      "capture.seg4",  "capture.seg5",  "capture.seg6",  "capture.seg7",
-      "capture.seg8",  "capture.seg9",  "capture.seg10", "capture.seg11",
-      "capture.seg12", "capture.seg13", "capture.seg14", "capture.seg15",
-  };
-  constexpr size_t kCount = sizeof(kNames) / sizeof(kNames[0]);
-  return seg < kCount ? kNames[seg] : "capture.seg+";
-}
-
 }  // namespace
 #endif  // CALCDB_OBS_ENABLED
 
@@ -56,17 +38,20 @@ CalcCheckpointer::CalcCheckpointer(EngineContext engine, CalcOptions options)
   // even a run with a single cycle traces the full rest -> prepare ->
   // resolve -> capture -> complete cadence.
   CALCDB_OBS_ONLY(rest_start_us_ = NowMicros();)
-  uint32_t nshards = engine_.store->num_shards();
-  slots_at_vpoc_ = std::vector<std::atomic<uint32_t>>(nshards);
+  slots_at_vpoc_ =
+      std::vector<std::atomic<uint32_t>>(engine_.store->num_shards());
   if (options_.partial) {
-    for (int i = 0; i < 2; ++i) {
-      dirty_[i].reserve(nshards);
-      for (uint32_t s = 0; s < nshards; ++s) {
-        dirty_[i].emplace_back(std::make_unique<DirtyKeyTracker>(
-            options_.tracker, engine_.store->shard(s)->max_records()));
-      }
-    }
+    dirty_ = std::make_unique<DirtySets>(options_.tracker, *engine_.store);
   }
+}
+
+bool CalcCheckpointer::InCaptureScan(const Record& rec) const {
+  uint32_t limit = slots_at_vpoc_[rec.shard].load(std::memory_order_acquire);
+  if (rec.index >= limit) return false;
+  return !options_.partial ||
+         dirty_->tracker(capture_parity_.load(std::memory_order_acquire),
+                         rec.shard)
+             .Test(rec.index);
 }
 
 void CalcCheckpointer::InstallStable(Record& rec) {
@@ -114,14 +99,7 @@ void CalcCheckpointer::ApplyWrite(Txn& txn, Record& rec, Value* new_val) {
       // scan must see — unless the scan will never visit this record
       // (slot created after the VPoC, or not in pCALC's dirty set). Both
       // the watermark and the dirty set are the record's own shard's.
-      bool in_scan_range = rec.index < VpocLimit(rec.shard);
-      if (in_scan_range && options_.partial) {
-        in_scan_range =
-            DirtyFor(capture_parity_.load(std::memory_order_acquire),
-                     rec.shard)
-                .Test(rec.index);
-      }
-      if (in_scan_range && !StableAvailable(rec)) {
+      if (InCaptureScan(rec) && !StableAvailable(rec)) {
         EraseStable(rec);  // drop any stale leftover from an old cycle
         InstallStable(rec);
         SetStableAvailable(rec);
@@ -160,14 +138,7 @@ void CalcCheckpointer::OnCommit(Txn& txn) {
         // consumed dirty set. A kept-but-never-consumed stable version
         // (often an AbsentMarker from a fresh insert) would leak into the
         // next cycle and mask the record from the *next* checkpoint.
-        bool scanned = rec->index < VpocLimit(rec->shard);
-        if (scanned && options_.partial) {
-          scanned =
-              DirtyFor(capture_parity_.load(std::memory_order_acquire),
-                       rec->shard)
-                  .Test(rec->index);
-        }
-        if (scanned && rec->stable != nullptr) {
+        if (InCaptureScan(*rec) && rec->stable != nullptr) {
           SetStableAvailable(*rec);
         } else {
           // The capture scan will not visit this record; a kept stable
@@ -182,233 +153,30 @@ void CalcCheckpointer::OnCommit(Txn& txn) {
     // Route dirty keys by the parity of the VPoC count at commit: commits
     // before the n-th virtual point of consistency land in the set the
     // n-th capture consumes; later commits land in the other set.
-    uint32_t parity = static_cast<uint32_t>(txn.vpoc_count & 1);
-    for (Record* rec : txn.written_records) {
-      DirtyFor(parity, rec->shard).Mark(rec->index);
-    }
+    dirty_->Mark(static_cast<uint32_t>(txn.vpoc_count & 1),
+                 txn.written_records);
   }
 }
 
-Status CalcCheckpointer::CaptureRecord(Record& rec,
-                                       CheckpointFileWriter* writer) {
-  Value* to_write = nullptr;
-  bool absent_at_poc = false;
-  uint64_t key;
-  {
-    SpinLatchGuard guard(rec.latch);
-    key = rec.key;
-    if (StableAvailable(rec)) {
-      // An explicit stable version was published for this record.
-      Value* stable = rec.stable;
-      rec.stable = nullptr;
-      if (stable == Record::AbsentMarker()) {
-        absent_at_poc = true;
-        stable_versions_.fetch_sub(1, std::memory_order_relaxed);
-      } else if (stable != nullptr) {
-        to_write = stable;  // ownership moves to us
-        stable_versions_.fetch_sub(1, std::memory_order_relaxed);
-      } else if (Record::IsRealValue(rec.live)) {
-        // Defensive: available with no preserved version — unreachable by
-        // construction, but falling back to live is the paper's
-        // "stable empty => live is the stable value" invariant.
-        to_write = Value::Ref(rec.live);
-      } else {
-        absent_at_poc = true;
-      }
-    } else {
-      // No stable version yet: mark available first so concurrent
-      // post-VPoC writers stop trying to create one, then read the live
-      // version, then re-check for a stable version that raced in
-      // (Figure 1's capture-phase ordering). The record latch makes the
-      // re-check always see a consistent pair.
-      SetStableAvailable(rec);
-      Value* stable = rec.stable;
-      rec.stable = nullptr;
-      if (stable == Record::AbsentMarker()) {
-        absent_at_poc = true;
-        stable_versions_.fetch_sub(1, std::memory_order_relaxed);
-      } else if (stable != nullptr) {
-        to_write = stable;
-        stable_versions_.fetch_sub(1, std::memory_order_relaxed);
-      } else if (Record::IsRealValue(rec.live)) {
-        to_write = Value::Ref(rec.live);
-      } else {
-        absent_at_poc = true;  // deleted (or dead slot)
-      }
-    }
+Value* CalcCheckpointer::CaptureVersion(Record& rec) {
+  SpinLatchGuard guard(rec.latch);
+  // With no stable version published yet, mark the record available first
+  // so concurrent post-VPoC writers stop trying to create one, then take a
+  // stable version that raced in, else the live one (Figure 1's
+  // capture-phase ordering). The record latch makes this always see a
+  // consistent pair.
+  if (!StableAvailable(rec)) SetStableAvailable(rec);
+  Value* stable = rec.stable;
+  rec.stable = nullptr;
+  if (stable != nullptr) {
+    stable_versions_.fetch_sub(1, std::memory_order_relaxed);
+    // A preserved version moves to the caller; the marker means "absent at
+    // the point of consistency".
+    return stable == Record::AbsentMarker() ? nullptr : stable;
   }
-  Status st;
-  if (to_write != nullptr) {
-    st = writer->Append(key, to_write->data());
-    Value::Unref(to_write);
-  } else if (absent_at_poc && options_.partial &&
-             key != ~uint64_t{0}) {
-    // Partial checkpoints must record deletions; a merge would otherwise
-    // resurrect the previous checkpoint's value.
-    st = writer->AppendTombstone(key);
-  }
-  return st;
-}
-
-Status CalcCheckpointer::CaptureAll(CheckpointFileWriter* writer) {
-  uint32_t nshards = engine_.store->num_shards();
-  for (uint32_t s = 0; s < nshards; ++s) {
-    uint32_t limit = VpocLimit(s);
-    for (uint32_t idx = 0; idx < limit; ++idx) {
-      CALCDB_RETURN_NOT_OK(
-          CaptureRecord(*engine_.store->shard(s)->ByIndex(idx), writer));
-    }
-  }
-  return Status::OK();
-}
-
-Status CalcCheckpointer::CapturePartial(CheckpointFileWriter* writer) {
-  uint32_t parity = capture_parity_.load(std::memory_order_acquire);
-  uint32_t nshards = engine_.store->num_shards();
-  Status st;
-  for (uint32_t s = 0; s < nshards; ++s) {
-    DirtyFor(parity, s).ForEach(VpocLimit(s), [&](uint32_t idx) {
-      if (!st.ok()) return;
-      st = CaptureRecord(*engine_.store->shard(s)->ByIndex(idx), writer);
-    });
-    CALCDB_RETURN_NOT_OK(st);
-  }
-  return st;
-}
-
-Status CalcCheckpointer::CaptureSegmented(CheckpointType type, uint64_t id,
-                                         uint64_t vpoc_lsn,
-                                         CheckpointInfo* info,
-                                         CheckpointCycleStats* stats) {
-  // Each segment is a (shard, work-list range) pair, written in ascending
-  // slot order; no two segments ever touch the same record.
-  //
-  // Single-shard store: pCALC's dirty indices are collected once (cheap —
-  // no value copies), and the work list (dirty indices, or the whole slot
-  // range) is split into capture_threads contiguous chunks, exactly the
-  // pre-shard layout. Sharded store: segment K is shard K, whole — the
-  // file layout is a property of the data's partitioning, not of how many
-  // workers happened to run, so segments stay byte-stable across
-  // capture_threads settings.
-  uint32_t nshards = engine_.store->num_shards();
-  uint32_t parity = capture_parity_.load(std::memory_order_acquire);
-
-  struct Segment {
-    uint32_t shard = 0;
-    size_t begin = 0;
-    size_t end = 0;  // work-list index range [begin, end) within the shard
-    std::string path;
-    Status status;
-    uint64_t entries = 0;
-    uint64_t bytes = 0;
-  };
-  std::vector<std::vector<uint32_t>> dirty_by_shard;
-  if (options_.partial) {
-    dirty_by_shard.resize(nshards);
-    for (uint32_t s = 0; s < nshards; ++s) {
-      DirtyFor(parity, s).ForEach(VpocLimit(s), [&](uint32_t idx) {
-        dirty_by_shard[s].push_back(idx);
-      });
-    }
-  }
-  auto shard_work = [&](uint32_t s) -> size_t {
-    return options_.partial ? dirty_by_shard[s].size() : VpocLimit(s);
-  };
-
-  std::vector<Segment> segs;
-  if (nshards == 1) {
-    size_t total = shard_work(0);
-    size_t nseg = static_cast<size_t>(options_.capture_threads);
-    if (nseg < 1) nseg = 1;
-    if (nseg > total) nseg = total < 1 ? 1 : total;
-    segs.resize(nseg);
-    for (size_t k = 0; k < nseg; ++k) {
-      segs[k].begin = total * k / nseg;
-      segs[k].end = total * (k + 1) / nseg;
-    }
-  } else {
-    segs.resize(nshards);
-    for (uint32_t s = 0; s < nshards; ++s) {
-      segs[s].shard = s;
-      segs[s].end = shard_work(s);
-    }
-  }
-  for (size_t k = 0; k < segs.size(); ++k) {
-    segs[k].path = engine_.ckpt_storage->SegmentPathFor(id, type, k);
-  }
-
-  // Every segment writer draws from the storage-wide budget (carried in
-  // writer_options), keeping the configured rate an aggregate cap over
-  // all concurrent writers.
-  const CheckpointWriterOptions& writer_options =
-      engine_.ckpt_storage->writer_options();
-  auto capture_segment = [&](size_t k) {
-    Segment& seg = segs[k];
-    KVStore* shard = engine_.store->shard(seg.shard);
-    CALCDB_OBS_ONLY(int64_t seg_start_us = NowMicros();)
-    CheckpointFileWriter writer;
-    seg.status = writer.Open(seg.path, type, id, vpoc_lsn, writer_options);
-    for (size_t i = seg.begin; seg.status.ok() && i < seg.end; ++i) {
-      uint32_t idx = options_.partial ? dirty_by_shard[seg.shard][i]
-                                      : static_cast<uint32_t>(i);
-      seg.status = CaptureRecord(*shard->ByIndex(idx), &writer);
-    }
-    // Worker-thread context: route the injected Status into the segment's
-    // status slot by hand (CALCDB_RETURN_NOT_OK can't return from here).
-    if (seg.status.ok()) {
-      seg.status = CALCDB_FAULT_STATUS("ckpt.segment.finish");
-    }
-    if (seg.status.ok()) seg.status = writer.Finish();
-    seg.entries = writer.entries_written();
-    seg.bytes = writer.bytes_written();
-#if CALCDB_OBS_ENABLED
-    int64_t now = NowMicros();
-    obs::Tracer::Global().EmitComplete(SegmentSpanName(k), "ckpt",
-                                       seg_start_us, now - seg_start_us,
-                                       id);
-    CALCDB_COUNTER_ADD("calcdb.ckpt.segments_written", 1);
-    CALCDB_COUNTER_ADD("calcdb.ckpt.segment_bytes", seg.bytes);
-#endif
-  };
-  // Workers pull segment ids from a shared cursor: with one shard there
-  // are exactly capture_threads segments (one each); with many shards a
-  // smaller pool still writes every per-shard segment.
-  size_t pool = static_cast<size_t>(
-      options_.capture_threads < 1 ? 1 : options_.capture_threads);
-  if (pool > segs.size()) pool = segs.size();
-  if (pool < 1) pool = 1;
-  std::atomic<size_t> next_seg{0};
-  auto worker = [&] {
-    for (;;) {
-      size_t k = next_seg.fetch_add(1, std::memory_order_relaxed);
-      if (k >= segs.size()) return;
-      capture_segment(k);
-    }
-  };
-  std::vector<std::thread> workers;
-  workers.reserve(pool - 1);
-  for (size_t w = 1; w < pool; ++w) workers.emplace_back(worker);
-  worker();
-  for (std::thread& t : workers) t.join();
-
-  // The checkpoint is valid only once every segment footer is durable; on
-  // any failure the already-written segments stay unregistered and
-  // recovery ignores them (the manifest never lists this checkpoint).
-  for (const Segment& seg : segs) {
-    CALCDB_RETURN_NOT_OK(seg.status);
-  }
-  info->segments.clear();
-  info->num_entries = 0;
-  uint64_t bytes = 0;
-  for (const Segment& seg : segs) {
-    info->segments.push_back(seg.path);
-    info->num_entries += seg.entries;
-    bytes += seg.bytes;
-  }
-  stats->records_written = info->num_entries;
-  stats->bytes_written = bytes;
-  stats->segments = segs.size();
-  return Status::OK();
+  // The paper's "stable empty => live is the stable value"; absent when
+  // deleted (or a dead slot).
+  return Record::IsRealValue(rec.live) ? Value::Ref(rec.live) : nullptr;
 }
 
 void CalcCheckpointer::WaitForDrain(std::initializer_list<Phase> phases) {
@@ -484,36 +252,20 @@ Status CalcCheckpointer::RunCheckpointCycle() {
   // --- Capture phase ---------------------------------------------------
   engine_.log->AppendPhaseTransition(Phase::kCapture, id, engine_.phases);
   Stopwatch capture_sw;
-  CheckpointType type =
-      options_.partial ? CheckpointType::kPartial : CheckpointType::kFull;
-  CheckpointInfo info;
-  info.id = id;
-  info.type = type;
-  info.vpoc_lsn = vpoc_lsn;
-  if (options_.capture_threads > 1 || engine_.store->num_shards() > 1) {
-    // Parallel segmented capture (sharded stores always segment: the
-    // files mirror the partitioning). `info.path` keeps the base name
-    // the segment files derive from; no file exists at it.
-    info.path = engine_.ckpt_storage->PathFor(id, type);
-    CALCDB_RETURN_NOT_OK(
-        CaptureSegmented(type, id, vpoc_lsn, &info, &stats));
-  } else {
-    // Single-threaded capture keeps the legacy single-file layout,
-    // byte-for-byte (only the pacing source changed: the shared budget
-    // also meters concurrent merger / base-checkpoint writes).
-    std::string path = engine_.ckpt_storage->PathFor(id, type);
-    CheckpointFileWriter writer;
-    CALCDB_RETURN_NOT_OK(writer.Open(
-        path, type, id, vpoc_lsn, engine_.ckpt_storage->writer_options()));
-    CALCDB_RETURN_NOT_OK(options_.partial ? CapturePartial(&writer)
-                                          : CaptureAll(&writer));
-    CALCDB_RETURN_NOT_OK(writer.Finish());
-    stats.records_written = writer.entries_written();
-    stats.bytes_written = writer.bytes_written();
-    stats.segments = 1;
-    info.path = path;
-    info.num_entries = writer.entries_written();
+  CaptureScan scan;
+  scan.id = id;
+  scan.poc_lsn = vpoc_lsn;
+  for (const auto& limit : slots_at_vpoc_) {
+    scan.limits.push_back(limit.load(std::memory_order_acquire));
   }
+  if (options_.partial) {
+    scan.dirty = dirty_.get();
+    scan.dirty_side = capture_parity_.load(std::memory_order_acquire);
+  }
+  CheckpointInfo info;
+  CALCDB_RETURN_NOT_OK(CaptureCheckpoint(
+      engine_, scan, [this](Record& rec) { return CaptureVersion(rec); },
+      &info, &stats));
   stats.capture_micros = capture_sw.ElapsedMicros();
   CALCDB_OBS_ONLY(
       phase_start_us = EmitPhaseSpan(name(), "capture", phase_start_us, id);)
@@ -530,36 +282,17 @@ Status CalcCheckpointer::RunCheckpointCycle() {
   // next cycle.
   WaitForDrain({Phase::kPrepare, Phase::kResolve, Phase::kCapture});
 
-  if (options_.partial) {
-    uint32_t parity = capture_parity_.load(std::memory_order_acquire);
-    for (uint32_t s = 0; s < engine_.store->num_shards(); ++s) {
-      DirtyFor(parity, s).Clear();
-    }
-  }
+  if (options_.partial) dirty_->Clear(scan.dirty_side);
   active_cycle_.store(0, std::memory_order_release);
 
   // --- Back to rest ------------------------------------------------------
   engine_.log->AppendPhaseTransition(Phase::kRest, id, engine_.phases);
 
-  // Durability barrier: the manifest may name this checkpoint only after
-  // its RESOLVE token is fsynced. Registering earlier would let a crash
-  // leave a checkpoint whose token exists in no log generation, and
-  // recovery's anchor rule would then skip later lifetimes' durable
-  // commits (docs/DURABILITY.md).
-  CALCDB_RETURN_NOT_OK(WaitLogDurable(vpoc_lsn));
-  // A crash here leaves fully-written checkpoint files that the manifest
-  // never lists: recovery ignores them and replays the tail from the log.
-  CALCDB_FAULT_POINT("ckpt.register");
-  engine_.ckpt_storage->Register(info);
-  CALCDB_RETURN_NOT_OK(engine_.ckpt_storage->PersistManifest());
-
-  stats.quiesce_micros = 0;  // CALC never closes the admission gate
-  stats.total_micros = total.ElapsedMicros();
+  // quiesce_micros stays 0: CALC never closes the admission gate.
+  CALCDB_RETURN_NOT_OK(PublishCheckpoint(info, total, &stats));
 #if CALCDB_OBS_ENABLED
-  phase_start_us = EmitPhaseSpan(name(), "complete", phase_start_us, id);
-  rest_start_us_ = phase_start_us;
+  rest_start_us_ = EmitPhaseSpan(name(), "complete", phase_start_us, id);
 #endif
-  SetLastCycle(stats);
   return Status::OK();
 }
 

@@ -19,16 +19,6 @@ struct CalcOptions {
 
   /// Dirty-key structure for pCALC (paper's final choice: bit vector).
   DirtyTrackerKind tracker = DirtyTrackerKind::kBitVector;
-
-  /// Capture-phase worker threads. With a single-shard store, 1 keeps the
-  /// legacy single-file capture (byte-stable with the original format) and
-  /// N > 1 slices the slot space into N contiguous ranges, each written to
-  /// its own segment file. With a sharded store the segments ARE the
-  /// shards (ckpt.<id>.segK holds exactly shard K, ascending slot order)
-  /// and capture_threads only sizes the worker pool drawing shard ids —
-  /// never the file layout. All writers draw from the storage's shared
-  /// write budget.
-  int capture_threads = 1;
 };
 
 /// CALC — Checkpointing Asynchronously using Logical Consistency.
@@ -36,8 +26,8 @@ struct CalcOptions {
 /// Implements the paper's Figure 1: the five-phase cycle whose transitions
 /// are tokens in the commit log, the ApplyWrite version routing by
 /// transaction start phase, the post-commit fixup for prepare-phase
-/// transactions, the two-branch capture scan, and the O(1) global
-/// stable-status reset.
+/// transactions, the capture-phase version pick (stable else live), and
+/// the O(1) global stable-status reset.
 ///
 /// Deviations from the paper's presentation, required for correctness once
 /// records can be inserted and deleted at any time (the paper's footnote 1
@@ -106,34 +96,14 @@ class CalcCheckpointer : public Checkpointer {
   /// Erases any stable version (real or marker).
   void EraseStable(Record& rec);
 
-  /// The capture range of shard `s`: its slot count at the VPoC.
-  uint32_t VpocLimit(uint32_t s) const {
-    return slots_at_vpoc_[s].load(std::memory_order_acquire);
-  }
-  /// Shard `s`'s dirty set of the given parity (pCALC only).
-  DirtyKeyTracker& DirtyFor(uint32_t parity, uint32_t s) {
-    return *dirty_[parity][s];
-  }
+  /// True if this cycle's capture scan visits `rec`: its slot is below
+  /// its shard's VPoC watermark and, for pCALC, it is in the consumed
+  /// dirty set.
+  bool InCaptureScan(const Record& rec) const;
 
-  /// Captures one record; emits at most one entry into `writer`.
-  [[nodiscard]] Status CaptureRecord(Record& rec,
-                                     CheckpointFileWriter* writer);
-
-  /// Single-file scans, shard-major (identical to the legacy dense scan
-  /// with one shard).
-  [[nodiscard]] Status CaptureAll(CheckpointFileWriter* writer);
-  [[nodiscard]] Status CapturePartial(CheckpointFileWriter* writer);
-
-  /// Parallel segmented capture. Single-shard store: the slot space is
-  /// sliced into capture_threads contiguous ranges, one segment file per
-  /// range. Sharded store: one segment per shard (segment K == shard K),
-  /// with min(capture_threads, shards) workers pulling shard ids. On
-  /// success fills `info->segments`, `info->num_entries` and `stats`
-  /// capture fields.
-  [[nodiscard]] Status CaptureSegmented(CheckpointType type, uint64_t id,
-                                        uint64_t vpoc_lsn,
-                                        CheckpointInfo* info,
-                                        CheckpointCycleStats* stats);
+  /// The capture hook: the version of `rec` at the VPoC (an owned
+  /// reference), or null if it was absent then.
+  Value* CaptureVersion(Record& rec);
 
   /// Blocks until there is no active transaction whose start phase is in
   /// `phases` ("wait for all active txns to have start-phase == X").
@@ -152,9 +122,8 @@ class CalcCheckpointer : public Checkpointer {
   /// with respect to commit order).
   std::vector<std::atomic<uint32_t>> slots_at_vpoc_;
 
-  /// pCALC: double-buffered dirty sets indexed by VPoC-count parity,
-  /// one tracker per shard (sized to the shard's own index space).
-  std::vector<std::unique_ptr<DirtyKeyTracker>> dirty_[2];
+  /// pCALC: dirty sets indexed by VPoC-count parity (null for CALC).
+  std::unique_ptr<DirtySets> dirty_;
   /// Parity of the dirty set consumed by the in-progress capture.
   std::atomic<uint32_t> capture_parity_{0};
 

@@ -3,14 +3,18 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "checkpoint/admission_gate.h"
 #include "checkpoint/ckpt_storage.h"
+#include "checkpoint/dirty_tracker.h"
 #include "checkpoint/phase.h"
 #include "log/commit_log.h"
 #include "storage/sharded_store.h"
 #include "txn/txn.h"
+#include "util/clock.h"
 #include "util/status.h"
 
 namespace calcdb {
@@ -28,6 +32,9 @@ struct EngineContext {
   /// Checkpoint cycles gate manifest registration on its durability
   /// horizon (WaitLogDurable).
   const CommandLogStreamer* streamer = nullptr;
+  /// Capture worker-pool size: at most this many segment writers run at
+  /// once (never more than the store's shard count).
+  int capture_threads = 1;
 };
 
 /// Statistics for one completed checkpoint cycle.
@@ -39,6 +46,27 @@ struct CheckpointCycleStats {
   int64_t quiesce_micros = 0;   ///< time the admission gate was closed
   int64_t capture_micros = 0;   ///< asynchronous capture duration
   int64_t total_micros = 0;
+};
+
+/// The per-record capture hook: returns the version of `rec` a checkpoint
+/// writes, as an owned reference, or null when the record is absent at the
+/// point of consistency. An empty hook captures each live version in
+/// place, taking no reference: only for captures no writer can race (a
+/// quiesced engine, or one not yet started).
+using CaptureFn = std::function<Value*(Record& rec)>;
+
+/// What one capture visits and writes.
+struct CaptureScan {
+  uint64_t id = 0;
+  uint64_t poc_lsn = 0;  ///< commit-log LSN of the point of consistency
+  /// Each shard's slot count at the point of consistency: the scan never
+  /// visits a slot at or above it.
+  std::vector<uint32_t> limits;
+  /// Non-null makes the checkpoint partial: only the slots marked on
+  /// `dirty_side` are visited, and a null version becomes a tombstone.
+  /// Null visits every slot below the limit and skips null versions.
+  const DirtySets* dirty = nullptr;
+  uint32_t dirty_side = 0;
 };
 
 /// Interface every checkpointing algorithm implements.
@@ -103,7 +131,34 @@ class Checkpointer {
     return last_cycle_;
   }
 
+  /// The capture pipeline every algorithm except fork writes through (the
+  /// pre-Start base checkpoint too). On-disk layout: a single-shard store
+  /// writes the legacy single file; a sharded store writes one segment per
+  /// shard (segment K holds exactly shard K, in ascending slot order).
+  /// min(capture_threads, shards) workers pull shards from a shared
+  /// cursor, each writer opened with the storage's writer_options(). The
+  /// version hook runs once per visited slot, concurrently across shards.
+  /// On success fills `info` (ready for PublishCheckpoint) and the
+  /// records/bytes/segments fields of `stats`; on failure the written
+  /// files stay unregistered and recovery ignores them.
+  [[nodiscard]] static Status CaptureCheckpoint(const EngineContext& engine,
+                                                const CaptureScan& scan,
+                                                const CaptureFn& version,
+                                                CheckpointInfo* info,
+                                                CheckpointCycleStats* stats);
+
  protected:
+  /// Ends a cycle: makes the captured checkpoint recoverable
+  /// (WaitLogDurable on its point of consistency, then Register +
+  /// PersistManifest), stamps `stats->total_micros` from `cycle` and
+  /// publishes the stats.
+  [[nodiscard]] Status PublishCheckpoint(const CheckpointInfo& info,
+                                         const Stopwatch& cycle,
+                                         CheckpointCycleStats* stats);
+
+  EngineContext engine_;
+
+ private:
   /// Durability barrier for the checkpoint's point-of-consistency token.
   /// Blocks until the attached command-log streamer (if any) has fsynced
   /// the log through `vpoc_lsn` inclusive; a no-op when no streamer is
@@ -121,9 +176,6 @@ class Checkpointer {
   /// once per checkpoint cycle.
   void SetLastCycle(const CheckpointCycleStats& stats);
 
-  EngineContext engine_;
-
- private:
   mutable SpinLatch stats_latch_;
   CheckpointCycleStats last_cycle_;
 };

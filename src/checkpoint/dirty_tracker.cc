@@ -145,4 +145,18 @@ size_t DirtyKeyTracker::MemoryBytes() const {
   return 0;
 }
 
+DirtySets::DirtySets(DirtyTrackerKind kind, const ShardedStore& store) {
+  for (auto& side : sides_) {
+    side.reserve(store.num_shards());
+    for (uint32_t s = 0; s < store.num_shards(); ++s) {
+      side.emplace_back(std::make_unique<DirtyKeyTracker>(
+          kind, store.shard(s)->max_records()));
+    }
+  }
+}
+
+void DirtySets::Clear(uint32_t side) {
+  for (const auto& tracker : sides_[side]) tracker->Clear();
+}
+
 }  // namespace calcdb

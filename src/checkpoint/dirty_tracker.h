@@ -1,11 +1,15 @@
 #ifndef CALCDB_CHECKPOINT_DIRTY_TRACKER_H_
 #define CALCDB_CHECKPOINT_DIRTY_TRACKER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <unordered_set>
+#include <vector>
 
+#include "storage/record.h"
+#include "storage/sharded_store.h"
 #include "util/bitvec.h"
 #include "util/bloom.h"
 #include "util/latch.h"
@@ -81,6 +85,52 @@ class DirtyKeyTracker {
 
   // kBloom
   std::unique_ptr<BloomFilter> bloom_;
+};
+
+/// Double-buffered per-shard dirty sets: two sides, each holding one
+/// DirtyKeyTracker per shard sized to that shard's own index space. A
+/// partial capture consumes one side while commits mark the other. Which
+/// side is which stays the checkpointer's decision: CALC routes by the
+/// parity of the VPoC count, the quiescing algorithms Flip() while no
+/// transaction is in flight.
+class DirtySets {
+ public:
+  DirtySets(DirtyTrackerKind kind, const ShardedStore& store);
+
+  DirtySets(const DirtySets&) = delete;
+  DirtySets& operator=(const DirtySets&) = delete;
+
+  /// Shard `shard`'s tracker on `side` (0 or 1).
+  DirtyKeyTracker& tracker(uint32_t side, uint32_t shard) {
+    return *sides_[side][shard];
+  }
+  const DirtyKeyTracker& tracker(uint32_t side, uint32_t shard) const {
+    return *sides_[side][shard];
+  }
+
+  /// Marks every record in `records` on `side`.
+  void Mark(uint32_t side, const std::vector<Record*>& records) {
+    for (Record* rec : records) tracker(side, rec->shard).Mark(rec->index);
+  }
+
+  /// Clears `side` in every shard.
+  void Clear(uint32_t side);
+
+  /// The side commits mark between flips (quiescing algorithms).
+  uint32_t active() const { return active_.load(std::memory_order_acquire); }
+
+  /// Makes the other side active and returns the previously active one,
+  /// which the capture then consumes. Only while no transaction is in
+  /// flight, so no commit can still be marking the returned side.
+  uint32_t Flip() {
+    uint32_t captured = active();
+    active_.store(1 - captured, std::memory_order_release);
+    return captured;
+  }
+
+ private:
+  std::vector<std::unique_ptr<DirtyKeyTracker>> sides_[2];
+  std::atomic<uint32_t> active_{0};
 };
 
 }  // namespace calcdb

@@ -179,6 +179,13 @@ Status ForkSnapshotCheckpointer::RunCheckpointCycle() {
           slots_at_poc_[s] = engine_.store->shard(s)->NumSlots();
         }
         child = ::fork();
+        if (child == 0) {
+          // Child: write the frozen image and exit without running any
+          // destructors or atexit handlers — nor the rest of the quiesce,
+          // whose gate reopen takes a mutex a parent thread may have held
+          // at the fork.
+          ::_exit(ChildWriteSnapshot(fd, id, poc_lsn));
+        }
         if (child < 0) {
           return Status::IOError(std::string("fork: ") +
                                  std::strerror(errno));
@@ -186,11 +193,6 @@ Status ForkSnapshotCheckpointer::RunCheckpointCycle() {
         return Status::OK();
       },
       &st);
-  if (child == 0) {
-    // Child: write the frozen image and exit without running any
-    // destructors or atexit handlers.
-    ::_exit(ChildWriteSnapshot(fd, id, poc_lsn));
-  }
   ::close(fd);  // parent's copy of the descriptor
   CALCDB_RETURN_NOT_OK(st);
 
@@ -237,17 +239,9 @@ Status ForkSnapshotCheckpointer::RunCheckpointCycle() {
   info.vpoc_lsn = poc_lsn;
   info.num_entries = entries;
   info.path = path;
-  // Durability barrier: register only once the point-of-consistency token
-  // is fsynced by the command-log streamer (see
-  // Checkpointer::WaitLogDurable; no-op without a streamer).
-  CALCDB_RETURN_NOT_OK(WaitLogDurable(info.vpoc_lsn));
-  engine_.ckpt_storage->Register(info);
-  CALCDB_RETURN_NOT_OK(engine_.ckpt_storage->PersistManifest());
-
   stats.records_written = entries;
-  stats.total_micros = total.ElapsedMicros();
-  SetLastCycle(stats);
-  return Status::OK();
+  stats.segments = 1;
+  return PublishCheckpoint(info, total, &stats);
 }
 
 }  // namespace calcdb

@@ -9,15 +9,10 @@ namespace calcdb {
 
 FuzzyCheckpointer::FuzzyCheckpointer(EngineContext engine,
                                      FuzzyOptions options)
-    : Checkpointer(engine), options_(options) {
+    : Checkpointer(engine),
+      options_(options),
+      dirty_(options.tracker, *engine.store) {
   uint32_t nshards = engine_.store->num_shards();
-  for (int i = 0; i < 2; ++i) {
-    dirty_[i].reserve(nshards);
-    for (uint32_t s = 0; s < nshards; ++s) {
-      dirty_[i].emplace_back(std::make_unique<DirtyKeyTracker>(
-          options_.tracker, engine_.store->shard(s)->max_records()));
-    }
-  }
   if (!options_.partial) {
     // Full fuzzy keeps the latest snapshot resident. Seed it with a
     // physical copy of the current database contents.
@@ -52,24 +47,18 @@ void FuzzyCheckpointer::ApplyWrite(Txn& txn, Record& rec, Value* new_val) {
 }
 
 void FuzzyCheckpointer::OnCommit(Txn& txn) {
-  if (txn.written_records.empty()) return;
-  uint32_t side = active_dirty_.load(std::memory_order_acquire);
-  for (Record* rec : txn.written_records) {
-    dirty_[side][rec->shard]->Mark(rec->index);
-  }
+  dirty_.Mark(dirty_.active(), txn.written_records);
 }
 
 Status FuzzyCheckpointer::RunCheckpointCycle() {
   Stopwatch total;
   CALCDB_TRACE_SPAN(cycle_span, name(), "ckpt", 0);
   CheckpointCycleStats stats;
-  uint64_t id = engine_.ckpt_storage->NextId();
-  stats.checkpoint_id = id;
-
+  CaptureScan scan;
+  scan.id = engine_.ckpt_storage->NextId();
+  stats.checkpoint_id = scan.id;
   uint32_t nshards = engine_.store->num_shards();
   uint32_t capture_side = 0;
-  std::vector<uint32_t> slots_at_poc(nshards, 0);
-  uint64_t poc_lsn = 0;
 
   // Quiesce: write the checkpoint record (the dirty-record table; the
   // active-transaction list is empty because the drain completed) to the
@@ -78,27 +67,24 @@ Status FuzzyCheckpointer::RunCheckpointCycle() {
   stats.quiesce_micros = QuiesceAndRun(
       engine_,
       [&]() -> Status {
-        poc_lsn = engine_.log->AppendPhaseTransition(Phase::kResolve, id,
-                                                     /*pc=*/nullptr);
-        for (uint32_t s = 0; s < nshards; ++s) {
-          slots_at_poc[s] = engine_.store->shard(s)->NumSlots();
-        }
-        capture_side = active_dirty_.load(std::memory_order_acquire);
-        active_dirty_.store(1 - capture_side, std::memory_order_release);
+        scan.poc_lsn = engine_.log->AppendPhaseTransition(
+            Phase::kResolve, scan.id, /*pc=*/nullptr);
+        scan.limits = engine_.store->SlotCounts();
+        capture_side = dirty_.Flip();
 
         // Serialize the dirty-record table: one 8-byte key per dirty
         // record, through the same throttled device as checkpoints.
         ThrottledFileWriter record_writer;
         std::string record_path =
             engine_.ckpt_storage->dir() + "/fuzzy_record_" +
-            std::to_string(id) + ".meta";
+            std::to_string(scan.id) + ".meta";
         CALCDB_RETURN_NOT_OK(record_writer.Open(
             record_path, engine_.ckpt_storage->write_budget()));
         Status write_st;
         for (uint32_t s = 0; s < nshards; ++s) {
           KVStore* shard = engine_.store->shard(s);
-          dirty_[capture_side][s]->ForEach(
-              slots_at_poc[s], [&](uint32_t idx) {
+          dirty_.tracker(capture_side, s)
+              .ForEach(scan.limits[s], [&](uint32_t idx) {
                 if (!write_st.ok()) return;
                 uint64_t key = shard->ByIndex(idx)->key;
                 write_st = record_writer.Append(&key, sizeof(key));
@@ -114,83 +100,38 @@ Status FuzzyCheckpointer::RunCheckpointCycle() {
   // values read here may already postdate the checkpoint record — fuzzy
   // checkpoints are not transaction-consistent.
   Stopwatch capture_sw;
-  CheckpointType type =
-      options_.partial ? CheckpointType::kPartial : CheckpointType::kFull;
-  std::string path = engine_.ckpt_storage->PathFor(id, type);
-  CheckpointFileWriter writer;
-  CALCDB_RETURN_NOT_OK(
-      writer.Open(path, type, id, poc_lsn,
-                  engine_.ckpt_storage->writer_options()));
-
+  auto current = [](Record& rec) -> Value* {
+    SpinLatchGuard guard(rec.latch);
+    return Record::IsRealValue(rec.live) ? Value::Ref(rec.live) : nullptr;
+  };
+  CaptureFn version;
   if (options_.partial) {
-    for (uint32_t s = 0; s < nshards; ++s) {
-      KVStore* shard = engine_.store->shard(s);
-      Status scan_st;
-      dirty_[capture_side][s]->ForEach(slots_at_poc[s], [&](uint32_t idx) {
-        if (!scan_st.ok()) return;
-        Record* rec = shard->ByIndex(idx);
-        Value* v = nullptr;
-        {
-          SpinLatchGuard guard(rec->latch);
-          if (Record::IsRealValue(rec->live)) v = Value::Ref(rec->live);
-        }
-        if (v != nullptr) {
-          scan_st = writer.Append(rec->key, v->data());
-          Value::Unref(v);
-        } else if (rec->key != ~uint64_t{0}) {
-          scan_st = writer.AppendTombstone(rec->key);
-        }
-      });
-      CALCDB_RETURN_NOT_OK(scan_st);
-    }
+    scan.dirty = &dirty_;
+    scan.dirty_side = capture_side;
+    version = current;
   } else {
-    // Full: merge dirty records into the resident snapshot, then write
-    // the complete snapshot, shard-major.
+    // Full: merge the dirty records into the resident snapshot, then
+    // write the complete snapshot.
     for (uint32_t s = 0; s < nshards; ++s) {
       KVStore* shard = engine_.store->shard(s);
-      dirty_[capture_side][s]->ForEach(slots_at_poc[s], [&](uint32_t idx) {
-        Record* rec = shard->ByIndex(idx);
-        Value* v = nullptr;
-        {
-          SpinLatchGuard guard(rec->latch);
-          if (Record::IsRealValue(rec->live)) v = Value::Ref(rec->live);
-        }
-        if (snapshot_[s][idx] != nullptr) Value::Unref(snapshot_[s][idx]);
-        snapshot_[s][idx] = v;  // may be null (deleted)
-      });
+      dirty_.tracker(capture_side, s)
+          .ForEach(scan.limits[s], [&](uint32_t idx) {
+            Value*& snap = snapshot_[s][idx];
+            if (snap != nullptr) Value::Unref(snap);
+            snap = current(*shard->ByIndex(idx));  // null if deleted
+          });
     }
-    for (uint32_t s = 0; s < nshards; ++s) {
-      KVStore* shard = engine_.store->shard(s);
-      for (uint32_t idx = 0; idx < slots_at_poc[s]; ++idx) {
-        if (snapshot_[s][idx] != nullptr) {
-          CALCDB_RETURN_NOT_OK(writer.Append(shard->ByIndex(idx)->key,
-                                             snapshot_[s][idx]->data()));
-        }
-      }
-    }
+    version = [this](Record& rec) -> Value* {
+      Value* snap = snapshot_[rec.shard][rec.index];
+      return snap != nullptr ? Value::Ref(snap) : nullptr;
+    };
   }
-  CALCDB_RETURN_NOT_OK(writer.Finish());
-  for (uint32_t s = 0; s < nshards; ++s) dirty_[capture_side][s]->Clear();
-  stats.capture_micros = capture_sw.ElapsedMicros();
-
   CheckpointInfo info;
-  info.id = id;
-  info.type = type;
-  info.vpoc_lsn = poc_lsn;
-  info.num_entries = writer.entries_written();
-  info.path = path;
-  // Durability barrier: register only once the point-of-consistency token
-  // is fsynced by the command-log streamer (see
-  // Checkpointer::WaitLogDurable; no-op without a streamer).
-  CALCDB_RETURN_NOT_OK(WaitLogDurable(info.vpoc_lsn));
-  engine_.ckpt_storage->Register(info);
-  CALCDB_RETURN_NOT_OK(engine_.ckpt_storage->PersistManifest());
-
-  stats.records_written = writer.entries_written();
-  stats.bytes_written = writer.bytes_written();
-  stats.total_micros = total.ElapsedMicros();
-  SetLastCycle(stats);
-  return Status::OK();
+  CALCDB_RETURN_NOT_OK(
+      CaptureCheckpoint(engine_, scan, version, &info, &stats));
+  dirty_.Clear(capture_side);
+  stats.capture_micros = capture_sw.ElapsedMicros();
+  return PublishCheckpoint(info, total, &stats);
 }
 
 }  // namespace calcdb

@@ -1,8 +1,6 @@
 #ifndef CALCDB_CHECKPOINT_FUZZY_H_
 #define CALCDB_CHECKPOINT_FUZZY_H_
 
-#include <atomic>
-#include <memory>
 #include <vector>
 
 #include "checkpoint/checkpointer.h"
@@ -59,9 +57,8 @@ class FuzzyCheckpointer : public Checkpointer {
  private:
   FuzzyOptions options_;
 
-  /// Double-buffered dirty sets, one tracker per shard.
-  std::vector<std::unique_ptr<DirtyKeyTracker>> dirty_[2];
-  std::atomic<uint32_t> active_dirty_{0};
+  /// Dirty sets, flipped during the quiesce.
+  DirtySets dirty_;
 
   /// Full variant only: the in-memory latest snapshot ("we maintain an
   /// extra copy of the database in main memory which is the latest

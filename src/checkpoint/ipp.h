@@ -1,13 +1,10 @@
 #ifndef CALCDB_CHECKPOINT_IPP_H_
 #define CALCDB_CHECKPOINT_IPP_H_
 
-#include <atomic>
-#include <memory>
 #include <vector>
 
 #include "checkpoint/checkpointer.h"
 #include "checkpoint/dirty_tracker.h"
-#include "util/bitvec.h"
 
 namespace calcdb {
 
@@ -15,7 +12,6 @@ namespace calcdb {
 struct IppOptions {
   /// pIPP: write only records dirtied since the previous checkpoint.
   bool partial = false;
-  DirtyTrackerKind tracker = DirtyTrackerKind::kBitVector;
 };
 
 /// Interleaved Ping-Pong (Cao et al., adapted per paper §4.1.3): the
@@ -50,11 +46,13 @@ class IppCheckpointer : public Checkpointer {
  private:
   IppOptions options_;
 
-  /// Ping-pong copies, per shard ([shard][index]); arrays_[current_]
-  /// receives write duplicates.
+  /// Ping-pong copies, per shard ([shard][index]); the array on the
+  /// dirty sets' active side receives write duplicates, and the flip at
+  /// the point of consistency switches both. The sets are always bit
+  /// vectors: the merge reads the array of every set member, and a Bloom
+  /// false positive would merge a stale copy.
   std::vector<std::vector<Value*>> arrays_[2];
-  std::vector<std::unique_ptr<AtomicBitVector>> dirty_bits_[2];
-  std::atomic<uint32_t> current_{0};
+  DirtySets dirty_;
 
   /// The last consistent checkpoint, kept in memory as the merge base
   /// ([shard][index]).

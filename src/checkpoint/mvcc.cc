@@ -124,105 +124,62 @@ Status MvccCheckpointer::RunCheckpointCycle() {
   Stopwatch total;
   CALCDB_TRACE_SPAN(cycle_span, name(), "ckpt", 0);
   CheckpointCycleStats stats;
-  uint64_t id = engine_.ckpt_storage->NextId();
-  stats.checkpoint_id = id;
+  CaptureScan scan;
+  scan.id = engine_.ckpt_storage->NextId();
+  stats.checkpoint_id = scan.id;
 
   // The point of consistency is just a token; no phase machinery. The
   // capture flag and watermark publish inside the log latch so that no
   // commit can order after the token yet be garbage-collected as if it
   // preceded it.
-  uint32_t nshards = engine_.store->num_shards();
-  std::vector<uint32_t> slots_at_poc(nshards, 0);
-  uint64_t poc_lsn = engine_.log->AppendPhaseTransition(
-      Phase::kResolve, id, /*pc=*/nullptr, [&] {
-        for (uint32_t s = 0; s < nshards; ++s) {
-          slots_at_poc[s] = engine_.store->shard(s)->NumSlots();
-        }
+  scan.poc_lsn = engine_.log->AppendPhaseTransition(
+      Phase::kResolve, scan.id, /*pc=*/nullptr, [&] {
+        scan.limits = engine_.store->SlotCounts();
         capture_lsn_.store(engine_.log->SizeLocked(),
                            std::memory_order_release);
         capture_active_.store(true, std::memory_order_release);
       });
+  const uint64_t poc_lsn = scan.poc_lsn;
 
   Stopwatch capture_sw;
-  std::string path =
-      engine_.ckpt_storage->PathFor(id, CheckpointType::kFull);
-  CheckpointFileWriter writer;
-  CALCDB_RETURN_NOT_OK(
-      writer.Open(path, CheckpointType::kFull, id, poc_lsn,
-                  engine_.ckpt_storage->writer_options()));
-
-  auto capture_record = [&](uint32_t s, uint32_t idx) -> Status {
-    Record* rec = engine_.store->shard(s)->ByIndex(idx);
-    Value* to_write = nullptr;
-    uint64_t key = 0;
-    for (;;) {
-      bool writer_mid_commit = false;
-      {
-        SpinLatchGuard guard(rec->latch);
-        key = rec->key;
-        VersionNode* head = heads_[s][idx];
-        if (head != nullptr && head->stamp == kUnstamped) {
-          // Writer mid-commit: its LSN relative to the token is not
-          // known yet. Retry after sleeping OUTSIDE the latch, or the
-          // committing writer could starve on it.
-          writer_mid_commit = true;
-        } else {
-          // Select the newest version visible at the point of
-          // consistency.
-          VersionNode* node = head;
-          while (node != nullptr && node->stamp > poc_lsn) {
-            node = node->next;
-          }
-          if (node != nullptr && node->value != nullptr) {
-            to_write = Value::Ref(node->value);
-          }
-          // GC: the head covers every future point of consistency; free
-          // everything below it.
-          if (head != nullptr) {
-            FreeChain(head->next);
-            head->next = nullptr;
-          }
-        }
-      }
-      if (!writer_mid_commit) break;
-      SleepMicros(10);
-    }
-    Status append_st;
-    if (to_write != nullptr) {
-      append_st = writer.Append(key, to_write->data());
-      Value::Unref(to_write);
-    }
-    return append_st;
-  };
-
-  for (uint32_t s = 0; s < nshards; ++s) {
-    for (uint32_t idx = 0; idx < slots_at_poc[s]; ++idx) {
-      CALCDB_RETURN_NOT_OK(capture_record(s, idx));
-    }
-  }
-  CALCDB_RETURN_NOT_OK(writer.Finish());
-  capture_active_.store(false, std::memory_order_release);
-  stats.capture_micros = capture_sw.ElapsedMicros();
-  stats.records_written = writer.entries_written();
-  stats.bytes_written = writer.bytes_written();
-
   CheckpointInfo info;
-  info.id = id;
-  info.type = CheckpointType::kFull;
-  info.vpoc_lsn = poc_lsn;
-  info.num_entries = writer.entries_written();
-  info.path = path;
-  // Durability barrier: register only once the point-of-consistency token
-  // is fsynced by the command-log streamer (see
-  // Checkpointer::WaitLogDurable; no-op without a streamer).
-  CALCDB_RETURN_NOT_OK(WaitLogDurable(info.vpoc_lsn));
-  engine_.ckpt_storage->Register(info);
-  CALCDB_RETURN_NOT_OK(engine_.ckpt_storage->PersistManifest());
-
-  stats.quiesce_micros = 0;
-  stats.total_micros = total.ElapsedMicros();
-  SetLastCycle(stats);
-  return Status::OK();
+  Status st = CaptureCheckpoint(
+      engine_, scan,
+      [this, poc_lsn](Record& rec) -> Value* {
+        for (;;) {
+          {
+            SpinLatchGuard guard(rec.latch);
+            VersionNode* head = heads_[rec.shard][rec.index];
+            // An unstamped head is a writer mid-commit: its LSN relative
+            // to the token is not known yet, so retry (below).
+            if (head == nullptr || head->stamp != kUnstamped) {
+              // The newest version visible at the point of consistency.
+              VersionNode* node = head;
+              while (node != nullptr && node->stamp > poc_lsn) {
+                node = node->next;
+              }
+              Value* v = (node != nullptr && node->value != nullptr)
+                             ? Value::Ref(node->value)
+                             : nullptr;
+              // GC: the head covers every future point of consistency;
+              // free everything below it.
+              if (head != nullptr) {
+                FreeChain(head->next);
+                head->next = nullptr;
+              }
+              return v;
+            }
+          }
+          // Sleep OUTSIDE the latch, or the committing writer could
+          // starve on it.
+          SleepMicros(10);
+        }
+      },
+      &info, &stats);
+  capture_active_.store(false, std::memory_order_release);
+  CALCDB_RETURN_NOT_OK(st);
+  stats.capture_micros = capture_sw.ElapsedMicros();
+  return PublishCheckpoint(info, total, &stats);
 }
 
 }  // namespace calcdb

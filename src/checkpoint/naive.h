@@ -1,9 +1,7 @@
 #ifndef CALCDB_CHECKPOINT_NAIVE_H_
 #define CALCDB_CHECKPOINT_NAIVE_H_
 
-#include <atomic>
 #include <memory>
-#include <vector>
 
 #include "checkpoint/checkpointer.h"
 #include "checkpoint/dirty_tracker.h"
@@ -44,12 +42,8 @@ class NaiveSnapshotCheckpointer : public Checkpointer {
  private:
   NaiveOptions options_;
 
-  /// Double-buffered dirty sets, one tracker per shard (each sized to its
-  /// shard's index space); `active_dirty_` indexes the side being marked,
-  /// the other side is consumed by the in-progress checkpoint. Flipped
-  /// during the quiesce, when no transaction is in flight.
-  std::vector<std::unique_ptr<DirtyKeyTracker>> dirty_[2];
-  std::atomic<uint32_t> active_dirty_{0};
+  /// pNaive's dirty sets (null for Naive), flipped during the quiesce.
+  std::unique_ptr<DirtySets> dirty_;
 };
 
 }  // namespace calcdb

@@ -61,8 +61,15 @@ class PhaseController {
   /// transaction's position relative to the virtual point of consistency
   /// unambiguous (paper §2.2). tools/lint_concurrency.py enforces the
   /// call-site restriction.
+  ///
+  /// Sequentially consistent, like BeginTxn's increment and re-check and
+  /// ActiveIn's read: the coordinator stores the phase then reads a
+  /// count, a transaction increments a count then reads the phase, and
+  /// only a single total order guarantees one of them sees the other's
+  /// write. With release/acquire both could read the old values, and a
+  /// transaction would start in a phase the coordinator already drained.
   void SetPhase(Phase p) {
-    phase_.store(static_cast<uint8_t>(p), std::memory_order_release);
+    phase_.store(static_cast<uint8_t>(p), std::memory_order_seq_cst);
   }
 
   /// Registers a transaction as active; returns the phase it started in.
@@ -71,8 +78,10 @@ class PhaseController {
   Phase BeginTxn() {
     for (;;) {
       Phase p = current();
-      active_[static_cast<int>(p)].fetch_add(1, std::memory_order_acq_rel);
-      if (current() == p) return p;
+      active_[static_cast<int>(p)].fetch_add(1, std::memory_order_seq_cst);
+      if (static_cast<Phase>(phase_.load(std::memory_order_seq_cst)) == p) {
+        return p;
+      }
       // Phase changed between read and increment: undo and retry, so that
       // a transaction is never counted under a stale phase after the
       // checkpointer has already inspected that counter.
@@ -88,7 +97,7 @@ class PhaseController {
   }
 
   int64_t ActiveIn(Phase p) const {
-    return active_[static_cast<int>(p)].load(std::memory_order_acquire);
+    return active_[static_cast<int>(p)].load(std::memory_order_seq_cst);
   }
 
   /// Total currently-active transactions across all start phases. Used by

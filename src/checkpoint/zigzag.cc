@@ -33,13 +33,7 @@ ZigzagCheckpointer::ZigzagCheckpointer(EngineContext engine,
     }
   }
   if (options_.partial) {
-    for (int i = 0; i < 2; ++i) {
-      dirty_[i].reserve(nshards);
-      for (uint32_t s = 0; s < nshards; ++s) {
-        dirty_[i].emplace_back(std::make_unique<DirtyKeyTracker>(
-            options_.tracker, engine_.store->shard(s)->max_records()));
-      }
-    }
+    dirty_ = std::make_unique<DirtySets>(options_.tracker, *engine_.store);
   }
 }
 
@@ -69,42 +63,33 @@ void ZigzagCheckpointer::ApplyWrite(Txn& txn, Record& rec, Value* new_val) {
 }
 
 void ZigzagCheckpointer::OnCommit(Txn& txn) {
-  if (!options_.partial || txn.written_records.empty()) return;
-  uint32_t side = active_dirty_.load(std::memory_order_acquire);
-  for (Record* rec : txn.written_records) {
-    dirty_[side][rec->shard]->Mark(rec->index);
-  }
+  if (dirty_ != nullptr) dirty_->Mark(dirty_->active(), txn.written_records);
 }
 
 Status ZigzagCheckpointer::RunCheckpointCycle() {
   Stopwatch total;
   CALCDB_TRACE_SPAN(cycle_span, name(), "ckpt", 0);
   CheckpointCycleStats stats;
-  uint64_t id = engine_.ckpt_storage->NextId();
-  stats.checkpoint_id = id;
-
-  uint32_t nshards = engine_.store->num_shards();
-  std::vector<uint32_t> slots_at_poc(nshards, 0);
-  uint64_t poc_lsn = 0;
-  uint32_t capture_side = 0;
+  CaptureScan scan;
+  scan.id = engine_.ckpt_storage->NextId();
+  stats.checkpoint_id = scan.id;
 
   // Physical point of consistency: drain, then flip MW := ¬MR word-wise.
   Status st;
   stats.quiesce_micros = QuiesceAndRun(
       engine_,
       [&]() -> Status {
-        poc_lsn = engine_.log->AppendPhaseTransition(Phase::kResolve, id,
-                                                     /*pc=*/nullptr);
-        for (uint32_t s = 0; s < nshards; ++s) {
-          slots_at_poc[s] = engine_.store->shard(s)->NumSlots();
+        scan.poc_lsn = engine_.log->AppendPhaseTransition(
+            Phase::kResolve, scan.id, /*pc=*/nullptr);
+        scan.limits = engine_.store->SlotCounts();
+        for (uint32_t s = 0; s < engine_.store->num_shards(); ++s) {
           for (size_t w = 0; w < mw_[s]->num_words(); ++w) {
             mw_[s]->SetWord(w, ~mr_[s]->Word(w));
           }
         }
-        if (options_.partial) {
-          capture_side = active_dirty_.load(std::memory_order_acquire);
-          active_dirty_.store(1 - capture_side,
-                              std::memory_order_release);
+        if (dirty_ != nullptr) {
+          scan.dirty = dirty_.get();
+          scan.dirty_side = dirty_->Flip();
         }
         return Status::OK();
       },
@@ -114,72 +99,18 @@ Status ZigzagCheckpointer::RunCheckpointCycle() {
   // Asynchronous capture: AS[key]_¬MW[key] is immutable until the next
   // flip, so the scan needs only the per-record latch for safe refcounts.
   Stopwatch capture_sw;
-  CheckpointType type =
-      options_.partial ? CheckpointType::kPartial : CheckpointType::kFull;
-  std::string path = engine_.ckpt_storage->PathFor(id, type);
-  CheckpointFileWriter writer;
-  CALCDB_RETURN_NOT_OK(
-      writer.Open(path, type, id, poc_lsn,
-                  engine_.ckpt_storage->writer_options()));
-
-  auto capture_record = [&](uint32_t s, uint32_t idx) -> Status {
-    Record* rec = engine_.store->shard(s)->ByIndex(idx);
-    Value* v = nullptr;
-    {
-      SpinLatchGuard guard(rec->latch);
-      Value* stable_side = *Slot(*rec, !mw_[s]->Get(idx));
-      if (Record::IsRealValue(stable_side)) {
-        v = Value::Ref(stable_side);
-      }
-    }
-    Status append_st;
-    if (v != nullptr) {
-      append_st = writer.Append(rec->key, v->data());
-      Value::Unref(v);
-    } else if (options_.partial && rec->key != ~uint64_t{0}) {
-      append_st = writer.AppendTombstone(rec->key);
-    }
-    return append_st;
-  };
-
-  if (options_.partial) {
-    for (uint32_t s = 0; s < nshards; ++s) {
-      Status scan_st;
-      dirty_[capture_side][s]->ForEach(slots_at_poc[s], [&](uint32_t idx) {
-        if (!scan_st.ok()) return;
-        scan_st = capture_record(s, idx);
-      });
-      CALCDB_RETURN_NOT_OK(scan_st);
-      dirty_[capture_side][s]->Clear();
-    }
-  } else {
-    for (uint32_t s = 0; s < nshards; ++s) {
-      for (uint32_t idx = 0; idx < slots_at_poc[s]; ++idx) {
-        CALCDB_RETURN_NOT_OK(capture_record(s, idx));
-      }
-    }
-  }
-  CALCDB_RETURN_NOT_OK(writer.Finish());
-  stats.capture_micros = capture_sw.ElapsedMicros();
-
   CheckpointInfo info;
-  info.id = id;
-  info.type = type;
-  info.vpoc_lsn = poc_lsn;
-  info.num_entries = writer.entries_written();
-  info.path = path;
-  // Durability barrier: register only once the point-of-consistency token
-  // is fsynced by the command-log streamer (see
-  // Checkpointer::WaitLogDurable; no-op without a streamer).
-  CALCDB_RETURN_NOT_OK(WaitLogDurable(info.vpoc_lsn));
-  engine_.ckpt_storage->Register(info);
-  CALCDB_RETURN_NOT_OK(engine_.ckpt_storage->PersistManifest());
-
-  stats.records_written = writer.entries_written();
-  stats.bytes_written = writer.bytes_written();
-  stats.total_micros = total.ElapsedMicros();
-  SetLastCycle(stats);
-  return Status::OK();
+  CALCDB_RETURN_NOT_OK(CaptureCheckpoint(
+      engine_, scan,
+      [this](Record& rec) -> Value* {
+        SpinLatchGuard guard(rec.latch);
+        Value* v = *Slot(rec, !mw_[rec.shard]->Get(rec.index));
+        return Record::IsRealValue(v) ? Value::Ref(v) : nullptr;
+      },
+      &info, &stats));
+  if (dirty_ != nullptr) dirty_->Clear(scan.dirty_side);
+  stats.capture_micros = capture_sw.ElapsedMicros();
+  return PublishCheckpoint(info, total, &stats);
 }
 
 }  // namespace calcdb

@@ -1,7 +1,6 @@
 #ifndef CALCDB_CHECKPOINT_ZIGZAG_H_
 #define CALCDB_CHECKPOINT_ZIGZAG_H_
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -62,9 +61,8 @@ class ZigzagCheckpointer : public Checkpointer {
   std::vector<std::unique_ptr<AtomicBitVector>> mr_;  ///< version to read
   std::vector<std::unique_ptr<AtomicBitVector>> mw_;  ///< version to write
 
-  /// Double-buffered dirty sets, one tracker per shard.
-  std::vector<std::unique_ptr<DirtyKeyTracker>> dirty_[2];
-  std::atomic<uint32_t> active_dirty_{0};
+  /// pZigzag's dirty sets (null for Zigzag), flipped during the quiesce.
+  std::unique_ptr<DirtySets> dirty_;
 };
 
 }  // namespace calcdb

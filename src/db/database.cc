@@ -263,23 +263,17 @@ Status Database::RecoverFromCommandLog(RecoveryStats* stats) {
 
 Status Database::WriteBaseCheckpoint() {
   if (started_) return Status::InvalidArgument("base ckpt after Start");
-  uint64_t id = ckpt_storage_.NextId();
-  uint64_t poc_lsn =
-      log_.AppendPhaseTransition(Phase::kResolve, id, /*pc=*/nullptr);
-  std::string path = ckpt_storage_.PathFor(id, CheckpointType::kFull);
-  CheckpointFileWriter writer;
-  CALCDB_RETURN_NOT_OK(writer.Open(path, CheckpointType::kFull, id,
-                                   poc_lsn,
-                                   ckpt_storage_.writer_options()));
-  Status append_st;
-  store_->ForEachRecord([&](Record* rec) {
-    if (!append_st.ok()) return;
-    if (Record::IsRealValue(rec->live)) {
-      append_st = writer.Append(rec->key, rec->live->data());
-    }
-  });
-  CALCDB_RETURN_NOT_OK(append_st);
-  CALCDB_RETURN_NOT_OK(writer.Finish());
+  // No transaction runs before Start, so the live versions are the
+  // snapshot.
+  CaptureScan scan;
+  scan.id = ckpt_storage_.NextId();
+  scan.poc_lsn =
+      log_.AppendPhaseTransition(Phase::kResolve, scan.id, /*pc=*/nullptr);
+  scan.limits = store_->SlotCounts();
+  CheckpointInfo info;
+  CheckpointCycleStats stats;
+  CALCDB_RETURN_NOT_OK(Checkpointer::CaptureCheckpoint(
+      Engine(), scan, /*version=*/nullptr, &info, &stats));
   if (!options_.command_log_path.empty()) {
     // Durability barrier (the pre-Start analogue of
     // Checkpointer::WaitLogDurable): the manifest may name this
@@ -296,20 +290,14 @@ Status Database::WriteBaseCheckpoint() {
         flush.Start(options_.command_log_path, /*flush_interval_ms=*/1));
     CALCDB_RETURN_NOT_OK(flush.Stop());
   }
-  // A crash here orphans the finished base-checkpoint file: the manifest
-  // never lists it, so recovery replays the log from scratch instead.
+  // A crash here orphans the finished base-checkpoint files: the manifest
+  // never lists them, so recovery replays the log from scratch instead.
   CALCDB_FAULT_POINT("base_ckpt.register");
-  CheckpointInfo info;
-  info.id = id;
-  info.type = CheckpointType::kFull;
-  info.vpoc_lsn = poc_lsn;
-  info.num_entries = writer.entries_written();
-  info.path = path;
   ckpt_storage_.Register(info);
   return ckpt_storage_.PersistManifest();
 }
 
-Status Database::MakeCheckpointer() {
+EngineContext Database::Engine() {
   EngineContext engine;
   engine.store = store_.get();
   engine.log = &log_;
@@ -317,6 +305,12 @@ Status Database::MakeCheckpointer() {
   engine.gate = &gate_;
   engine.ckpt_storage = &ckpt_storage_;
   engine.streamer = streamer_.get();
+  engine.capture_threads = ResolvedCaptureThreads(options_);
+  return engine;
+}
+
+Status Database::MakeCheckpointer() {
+  EngineContext engine = Engine();
 
   switch (options_.algorithm) {
     case CheckpointAlgorithm::kNone:
@@ -327,7 +321,6 @@ Status Database::MakeCheckpointer() {
       CalcOptions opts;
       opts.partial = options_.algorithm == CheckpointAlgorithm::kPCalc;
       opts.tracker = options_.dirty_tracker;
-      opts.capture_threads = ResolvedCaptureThreads(options_);
       checkpointer_ = std::make_unique<CalcCheckpointer>(engine, opts);
       return Status::OK();
     }
@@ -352,7 +345,6 @@ Status Database::MakeCheckpointer() {
     case CheckpointAlgorithm::kPIpp: {
       IppOptions opts;
       opts.partial = options_.algorithm == CheckpointAlgorithm::kPIpp;
-      opts.tracker = options_.dirty_tracker;
       checkpointer_ = std::make_unique<IppCheckpointer>(engine, opts);
       return Status::OK();
     }
@@ -402,14 +394,7 @@ Status Database::Start() {
 #endif  // CALCDB_OBS_ENABLED
   }
   CALCDB_RETURN_NOT_OK(MakeCheckpointer());
-  EngineContext engine;
-  engine.store = store_.get();
-  engine.log = &log_;
-  engine.phases = &phases_;
-  engine.gate = &gate_;
-  engine.ckpt_storage = &ckpt_storage_;
-  engine.streamer = streamer_.get();
-  executor_ = std::make_unique<Executor>(engine, &registry_,
+  executor_ = std::make_unique<Executor>(Engine(), &registry_,
                                          checkpointer_.get(),
                                          &lock_manager_);
   if (options_.background_merge && checkpointer_->is_partial()) {

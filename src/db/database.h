@@ -159,6 +159,8 @@ class Database {
  private:
   explicit Database(const Options& options);
 
+  /// The engine handles checkpointers and the executor run against.
+  EngineContext Engine();
   [[nodiscard]] Status MakeCheckpointer();
   void SetBackgroundStatus(const Status& st);
   void ConfigureHealthMonitor();

@@ -67,11 +67,12 @@ struct Options {
   /// roughly lock_stripes / storage_shards each (floored at 64).
   size_t lock_stripes = 1 << 16;
 
-  /// Checkpoint capture-phase worker threads (CALC/pCALC). 1 keeps the
-  /// legacy single-file capture; N > 1 shards the slot space into N
-  /// contiguous ranges, each written to its own segment file, with the
-  /// aggregate write rate still capped by `disk_bytes_per_sec`. 0 means
-  /// auto: the CALCDB_CAPTURE_THREADS environment variable if set, else 1.
+  /// Checkpoint capture worker threads, for every algorithm but fork:
+  /// at most this many segment writers run at once, never more than
+  /// storage_shards (a single-shard store always writes one file with
+  /// one thread). Never changes the on-disk layout; the aggregate write
+  /// rate stays capped by `disk_bytes_per_sec`. 0 means auto: the
+  /// CALCDB_CAPTURE_THREADS environment variable if set, else 1.
   int capture_threads = 0;
 
   /// Checkpoint-writer serialization block size: entries accumulate into

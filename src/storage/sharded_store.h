@@ -73,6 +73,14 @@ class ShardedStore {
   /// stats and used by single-shard scans.
   uint64_t TotalSlots() const;
 
+  /// Every shard's slot count, now: a capture's scan limits when read at
+  /// its point of consistency.
+  std::vector<uint32_t> SlotCounts() const {
+    std::vector<uint32_t> slots;
+    for (const auto& s : shards_) slots.push_back(s->NumSlots());
+    return slots;
+  }
+
   uint64_t max_records() const { return max_records_; }
   ValuePool* pool() const { return pool_; }
 

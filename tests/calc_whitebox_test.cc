@@ -277,8 +277,15 @@ TEST(CalcWhiteboxTest, InsertAfterVpocExcludedDeleteCaptured) {
   while (db->phases()->current() != Phase::kPrepare) SleepMicros(500);
   release = true;
   holder.join();
-  // Wait until the capture phase: transactions now start post-VPoC.
-  while (db->phases()->current() != Phase::kCapture) SleepMicros(500);
+  // Wait until the capture phase: transactions now start post-VPoC. Poll
+  // the log for the CAPTURE token (checkpoint 1 of a fresh database), not
+  // the current phase: nothing holds the cycle in CAPTURE, so a phase
+  // poll can sleep through the whole phase and then wait forever.
+  uint64_t capture_lsn = 0;
+  while (!db->commit_log()->FindPhaseToken(1, Phase::kCapture,
+                                           &capture_lsn)) {
+    SleepMicros(500);
+  }
 
   // Post-VPoC: insert a brand-new key and delete an existing one. If the
   // capture scan is still running these must not corrupt the checkpoint.

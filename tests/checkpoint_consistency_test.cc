@@ -14,6 +14,7 @@
 // transactions spanning every phase of the cycle.
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <thread>
 
@@ -71,6 +72,7 @@ struct ConsistencyCase {
   int checkpoints;       // how many cycles to run back-to-back
   bool with_deletes;
   bool with_inserts;     // keys beyond the initially loaded range
+  uint8_t storage_shards = 0;  // 0: auto (CALCDB_STORAGE_SHARDS, else 1)
 };
 
 class CheckpointConsistencyTest
@@ -94,6 +96,7 @@ TEST_P(CheckpointConsistencyTest, CheckpointEqualsStateAtPoC) {
   options.algorithm = param.algorithm;
   options.checkpoint_dir = dir.path();
   options.disk_bytes_per_sec = 0;  // fast captures; stress via threads
+  options.storage_shards = param.storage_shards;
   std::unique_ptr<Database> db;
   ASSERT_TRUE(Database::Open(options, &db).ok());
   SeedDb(db.get());
@@ -134,6 +137,16 @@ TEST_P(CheckpointConsistencyTest, CheckpointEqualsStateAtPoC) {
   // into the ground truth too).
   std::vector<CheckpointInfo> all = db->checkpoint_storage()->List();
   ASSERT_EQ(all.size(), static_cast<size_t>(param.checkpoints));
+  // Every algorithm shares one layout: one file at one shard, else one
+  // segment per shard. Fork's snapshot child writes one file regardless.
+  uint32_t shards = Database::ResolvedStorageShards(options);
+  size_t want_segments =
+      (shards > 1 && param.algorithm != CheckpointAlgorithm::kFork) ? shards
+                                                                    : 0;
+  for (const CheckpointInfo& info : all) {
+    EXPECT_EQ(info.segments.size(), want_segments)
+        << "checkpoint " << info.id;
+  }
   const bool partial = db->checkpointer()->is_partial();
   for (size_t upto = 1; upto <= all.size(); ++upto) {
     std::vector<CheckpointInfo> chain;
@@ -182,7 +195,19 @@ INSTANTIATE_TEST_SUITE_P(
         ConsistencyCase{CheckpointAlgorithm::kMvcc, 2, false, false},
         ConsistencyCase{CheckpointAlgorithm::kMvcc, 3, true, true},
         ConsistencyCase{CheckpointAlgorithm::kFork, 2, false, false},
-        ConsistencyCase{CheckpointAlgorithm::kFork, 3, true, true}),
+        ConsistencyCase{CheckpointAlgorithm::kFork, 3, true, true},
+        // The same inserts + deletes stress on a 4-shard store, where
+        // every algorithm but fork captures one segment per shard.
+        ConsistencyCase{CheckpointAlgorithm::kCalc, 3, true, true, 4},
+        ConsistencyCase{CheckpointAlgorithm::kPCalc, 4, true, true, 4},
+        ConsistencyCase{CheckpointAlgorithm::kNaive, 2, true, true, 4},
+        ConsistencyCase{CheckpointAlgorithm::kPNaive, 3, true, true, 4},
+        ConsistencyCase{CheckpointAlgorithm::kIpp, 3, true, true, 4},
+        ConsistencyCase{CheckpointAlgorithm::kPIpp, 3, true, true, 4},
+        ConsistencyCase{CheckpointAlgorithm::kZigzag, 3, true, true, 4},
+        ConsistencyCase{CheckpointAlgorithm::kPZigzag, 3, true, true, 4},
+        ConsistencyCase{CheckpointAlgorithm::kMvcc, 3, true, true, 4},
+        ConsistencyCase{CheckpointAlgorithm::kFork, 3, true, true, 4}),
     [](const ::testing::TestParamInfo<ConsistencyCase>& info) {
       std::string name = AlgorithmName(info.param.algorithm);
       for (char& c : name) {
@@ -191,6 +216,9 @@ INSTANTIATE_TEST_SUITE_P(
       name += "_c" + std::to_string(info.param.checkpoints);
       if (info.param.with_deletes) name += "_del";
       if (info.param.with_inserts) name += "_ins";
+      if (info.param.storage_shards > 1) {
+        name += "_s" + std::to_string(info.param.storage_shards);
+      }
       return name;
     });
 

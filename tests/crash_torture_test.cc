@@ -58,7 +58,7 @@ struct TortureConfig {
   uint64_t ckpt_every = 40;
   uint64_t merge_every = 0;
   std::string algo = "calc";
-  int capture_threads = 1;
+  int storage_shards = 0;  // 0: auto (CALCDB_STORAGE_SHARDS, else 1)
   uint64_t seed = 101;
 
   std::string Describe() const {
@@ -66,7 +66,7 @@ struct TortureConfig {
            " txns=" + std::to_string(txns) +
            " ckpt_every=" + std::to_string(ckpt_every) +
            " merge_every=" + std::to_string(merge_every) + " algo=" + algo +
-           " capture_threads=" + std::to_string(capture_threads) +
+           " storage_shards=" + std::to_string(storage_shards) +
            " seed=" + std::to_string(seed);
   }
 };
@@ -98,7 +98,7 @@ int SpawnWorker(const std::string& dir, const TortureConfig& config,
       "--ckpt_every=" + std::to_string(config.ckpt_every),
       "--merge_every=" + std::to_string(config.merge_every),
       "--algo=" + config.algo,
-      "--capture_threads=" + std::to_string(config.capture_threads),
+      "--storage_shards=" + std::to_string(config.storage_shards),
       "--seed=" + std::to_string(config.seed),
   };
   pid_t pid = ::fork();
@@ -261,7 +261,7 @@ struct MatrixEntry {
   const char* point;
   int hit;
   const char* algo;
-  int capture_threads;
+  int storage_shards;  // 0: auto
   uint64_t merge_every;
 };
 
@@ -269,25 +269,27 @@ struct MatrixEntry {
 // (base full checkpoint first, then a checkpoint every ckpt_every txns):
 // hit 1 of the ckpt_file points lands in the base checkpoint, hit 2 in
 // the first runtime checkpoint; segment points exist only with
-// capture_threads > 1; merge points only fire with partials (pcalc).
+// storage_shards > 1 (hit 1 in the base checkpoint's first segment, hit 3
+// in the first runtime checkpoint's); merge points only fire with
+// partials (pcalc).
 const MatrixEntry kMatrix[] = {
-    {"ckpt_file.header", 1, "calc", 1, 0},
-    {"ckpt_file.body", 1, "calc", 1, 0},
-    {"ckpt_file.body", 100, "calc", 1, 0},
-    {"ckpt_file.block", 1, "calc", 1, 0},
-    {"ckpt_file.footer", 2, "calc", 1, 0},
-    {"ckpt_file.fsync", 2, "calc", 1, 0},
+    {"ckpt_file.header", 1, "calc", 0, 0},
+    {"ckpt_file.body", 1, "calc", 0, 0},
+    {"ckpt_file.body", 100, "calc", 0, 0},
+    {"ckpt_file.block", 1, "calc", 0, 0},
+    {"ckpt_file.footer", 2, "calc", 0, 0},
+    {"ckpt_file.fsync", 2, "calc", 0, 0},
     {"ckpt.segment.finish", 1, "calc", 2, 0},
     {"ckpt.segment.finish", 3, "calc", 2, 0},
-    {"ckpt.register", 1, "calc", 1, 0},
-    {"manifest.write", 2, "calc", 1, 0},
-    {"manifest.rename", 2, "calc", 1, 0},
-    {"merge.replace", 1, "pcalc", 1, 3},
-    {"merge.persist", 1, "pcalc", 1, 3},
-    {"base_ckpt.register", 1, "calc", 1, 0},
-    {"log.batch_append", 1, "calc", 1, 0},
-    {"log.batch_append", 5, "calc", 1, 0},
-    {"log.fsync", 3, "calc", 1, 0},
+    {"ckpt.register", 1, "calc", 0, 0},
+    {"manifest.write", 2, "calc", 0, 0},
+    {"manifest.rename", 2, "calc", 0, 0},
+    {"merge.replace", 1, "pcalc", 0, 3},
+    {"merge.persist", 1, "pcalc", 0, 3},
+    {"base_ckpt.register", 1, "calc", 0, 0},
+    {"log.batch_append", 1, "calc", 0, 0},
+    {"log.batch_append", 5, "calc", 0, 0},
+    {"log.fsync", 3, "calc", 0, 0},
 };
 
 /// Every registered crash point must appear in the enumerated matrix —
@@ -315,7 +317,7 @@ TEST(CrashTortureMatrix, EnumeratedCrashPoints) {
     TempDir dir;
     TortureConfig config;
     config.algo = entry.algo;
-    config.capture_threads = entry.capture_threads;
+    config.storage_shards = entry.storage_shards;
     config.merge_every = entry.merge_every;
     std::string spec =
         std::string(entry.point) + ":" + std::to_string(entry.hit);
@@ -401,7 +403,7 @@ TEST(CrashTortureMatrix, RandomizedSchedules) {
     TempDir dir;
     TortureConfig config;
     config.algo = rng.Bernoulli(0.5) ? "pcalc" : "calc";
-    config.capture_threads = rng.Bernoulli(0.5) ? 2 : 1;
+    config.storage_shards = rng.Bernoulli(0.5) ? 2 : 0;
     config.merge_every = rng.Bernoulli(0.5) ? 3 : 0;
     config.seed = seed + static_cast<uint64_t>(i) + 1;
     const char* point = points[rng.Uniform(point_count)].name;

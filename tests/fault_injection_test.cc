@@ -95,16 +95,16 @@ class FaultInjectionTest : public ::testing::Test {
   void TearDown() override { fault::Disarm(); }
 
   /// A started CALC database with a seeded bank and a few executed
-  /// transfers (so checkpoints have content).
+  /// transfers (so checkpoints have content). `storage_shards` 0 is auto.
   void OpenBankDb(const TempDir& dir, std::unique_ptr<Database>* db,
-                  CheckpointAlgorithm algo, int capture_threads,
+                  CheckpointAlgorithm algo, int storage_shards,
                   bool with_streamer = false, bool base_checkpoint = false) {
     Options options;
     options.max_records = 128;
     options.algorithm = algo;
     options.checkpoint_dir = dir.path() + "/ckpt";
     options.disk_bytes_per_sec = 0;
-    options.capture_threads = capture_threads;
+    options.storage_shards = storage_shards;
     if (with_streamer) {
       options.command_log_path = dir.path() + "/commandlog";
       options.command_log_flush_ms = 1;
@@ -139,7 +139,7 @@ TEST_F(FaultInjectionTest, CheckpointIoErrorsPropagate) {
     SCOPED_TRACE(point);
     TempDir dir;
     std::unique_ptr<Database> db;
-    OpenBankDb(dir, &db, CheckpointAlgorithm::kCalc, /*capture_threads=*/1);
+    OpenBankDb(dir, &db, CheckpointAlgorithm::kCalc, /*storage_shards=*/0);
     fault::ArmError(point);
     Status st = db->Checkpoint();
     ASSERT_FALSE(st.ok());
@@ -157,7 +157,7 @@ TEST_F(FaultInjectionTest, CheckpointIoErrorsPropagate) {
 TEST_F(FaultInjectionTest, SegmentFinishErrorPropagates) {
   TempDir dir;
   std::unique_ptr<Database> db;
-  OpenBankDb(dir, &db, CheckpointAlgorithm::kCalc, /*capture_threads=*/2);
+  OpenBankDb(dir, &db, CheckpointAlgorithm::kCalc, /*storage_shards=*/2);
   fault::ArmError("ckpt.segment.finish");
   Status st = db->Checkpoint();
   ASSERT_FALSE(st.ok());
@@ -235,7 +235,7 @@ TEST_F(FaultInjectionTest, MergeErrorsPropagate) {
     SCOPED_TRACE(point);
     TempDir dir;
     std::unique_ptr<Database> db;
-    OpenBankDb(dir, &db, CheckpointAlgorithm::kPCalc, /*capture_threads=*/1,
+    OpenBankDb(dir, &db, CheckpointAlgorithm::kPCalc, /*storage_shards=*/0,
                /*with_streamer=*/false, /*base_checkpoint=*/true);
     for (int i = 0; i < 3; ++i) ASSERT_TRUE(db->Checkpoint().ok());
     CheckpointMerger merger(db->checkpoint_storage());
@@ -263,7 +263,7 @@ TEST_F(FaultInjectionTest, StreamerErrorSurfacesInBackgroundStatus) {
     SCOPED_TRACE(point);
     TempDir dir;
     std::unique_ptr<Database> db;
-    OpenBankDb(dir, &db, CheckpointAlgorithm::kCalc, /*capture_threads=*/1,
+    OpenBankDb(dir, &db, CheckpointAlgorithm::kCalc, /*storage_shards=*/0,
                /*with_streamer=*/true);
     fault::ArmError(point);
     TransferStream stream(4, 16);
@@ -292,7 +292,7 @@ TEST_F(FaultInjectionTest, CheckpointBarrierPropagatesStreamerFailure) {
     SCOPED_TRACE(point);
     TempDir dir;
     std::unique_ptr<Database> db;
-    OpenBankDb(dir, &db, CheckpointAlgorithm::kCalc, /*capture_threads=*/1,
+    OpenBankDb(dir, &db, CheckpointAlgorithm::kCalc, /*storage_shards=*/0,
                /*with_streamer=*/true);
     fault::ArmError(point);
     Status st = db->Checkpoint();
@@ -313,7 +313,7 @@ TEST_F(FaultInjectionTest, CheckpointBarrierPropagatesStreamerFailure) {
 TEST_F(FaultInjectionTest, PeriodicCheckpointErrorSurfaces) {
   TempDir dir;
   std::unique_ptr<Database> db;
-  OpenBankDb(dir, &db, CheckpointAlgorithm::kCalc, /*capture_threads=*/1);
+  OpenBankDb(dir, &db, CheckpointAlgorithm::kCalc, /*storage_shards=*/0);
   ASSERT_TRUE(db->StartPeriodicCheckpoints(1).ok());
   fault::ArmError("ckpt.register");
   Status bg;
@@ -336,7 +336,7 @@ TEST_F(FaultInjectionTest, StreamerFailureEmitsEventAndUnhealthyReport) {
   obs::EventLog::Global().SetStderrMirror(false);
   TempDir dir;
   std::unique_ptr<Database> db;
-  OpenBankDb(dir, &db, CheckpointAlgorithm::kCalc, /*capture_threads=*/1,
+  OpenBankDb(dir, &db, CheckpointAlgorithm::kCalc, /*storage_shards=*/0,
              /*with_streamer=*/true);
   EXPECT_TRUE(db->GetHealth().healthy);
   fault::ArmError("log.fsync");
@@ -382,7 +382,7 @@ TEST_F(FaultInjectionTest, ForkChildForcedExitSurfacesExitCode) {
   obs::EventLog::Global().SetStderrMirror(false);
   TempDir dir;
   std::unique_ptr<Database> db;
-  OpenBankDb(dir, &db, CheckpointAlgorithm::kFork, /*capture_threads=*/1);
+  OpenBankDb(dir, &db, CheckpointAlgorithm::kFork, /*storage_shards=*/0);
   ASSERT_EQ(setenv("CALCDB_CHILD_EXIT_CODE", "7", 1), 0);
   Status st = db->Checkpoint();
   ASSERT_EQ(unsetenv("CALCDB_CHILD_EXIT_CODE"), 0);

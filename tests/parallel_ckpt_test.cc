@@ -1,7 +1,8 @@
 // Parallel segmented checkpointing: the aggregate write-rate contract of
 // the shared token bucket, segmented-vs-single-file state equivalence,
-// byte-stability of the single-threaded format, manifest round-trips
-// with segment lists, and parallel recovery load.
+// byte-stability of the single-shard format, manifest round-trips with
+// segment lists, loading the retired slot-sliced layout, and parallel
+// recovery load.
 
 #include <cstdint>
 #include <cstdio>
@@ -92,9 +93,10 @@ void RunFixedWorkload(Database* db, const MicrobenchConfig& config,
   }
 }
 
-// The same workload captured with 1 thread and with 4 threads must
-// materialize identical states; the 4-thread capture must actually have
-// produced 4 segment files.
+// The same workload captured from a 1-shard and a 4-shard store must
+// materialize identical states. Both run 4 capture threads: the 1-shard
+// capture must still write the single legacy file, the 4-shard capture
+// exactly one segment per shard.
 TEST(ParallelCaptureTest, SegmentedCaptureMatchesSingleFile) {
   MicrobenchConfig config;
   config.num_records = 300;
@@ -102,9 +104,10 @@ TEST(ParallelCaptureTest, SegmentedCaptureMatchesSingleFile) {
   config.ops_per_txn = 4;
 
   StateMap single, segmented;
-  for (int threads : {1, 4}) {
+  for (int shards : {1, 4}) {
     TempDir dir;
-    Options options = ParallelOptions(dir.path(), threads);
+    Options options = ParallelOptions(dir.path(), 4);
+    options.storage_shards = shards;
     std::unique_ptr<Database> db;
     ASSERT_TRUE(Database::Open(options, &db).ok());
     ASSERT_TRUE(SetupMicrobench(db.get(), config).ok());
@@ -114,7 +117,7 @@ TEST(ParallelCaptureTest, SegmentedCaptureMatchesSingleFile) {
 
     std::vector<CheckpointInfo> list = db->checkpoint_storage()->List();
     ASSERT_EQ(list.size(), 1u);
-    if (threads == 1) {
+    if (shards == 1) {
       EXPECT_TRUE(list[0].segments.empty());
       ASSERT_TRUE(testing_util::ChainToMap(list, &single).ok());
     } else {
@@ -231,12 +234,66 @@ TEST(ParallelCaptureTest, ManifestRoundTripsSegmentList) {
   EXPECT_EQ(list[1].segments, seg.segments);
 }
 
+// No writer produces the retired slot-sliced layout any more (one shard,
+// several segments, each a contiguous slot range), but a manifest that
+// lists one must keep loading, into a single- or a multi-shard engine.
+TEST(ParallelCaptureTest, LegacySlotSlicedCheckpointRecovers) {
+  TempDir dir;
+  constexpr size_t kSlices = 3;
+  constexpr uint64_t kKeys = 30;
+  StateMap expected;
+  {
+    CheckpointStorage storage(dir.path(), 0);
+    ASSERT_TRUE(storage.Init().ok());
+    CheckpointInfo info;
+    info.id = 1;
+    info.type = CheckpointType::kFull;
+    info.path = storage.PathFor(1, CheckpointType::kFull);
+    for (size_t seg = 0; seg < kSlices; ++seg) {
+      std::string path =
+          storage.SegmentPathFor(1, CheckpointType::kFull, seg);
+      CheckpointFileWriter writer;
+      ASSERT_TRUE(writer
+                      .Open(path, CheckpointType::kFull, info.id,
+                            info.vpoc_lsn, storage.writer_options())
+                      .ok());
+      for (uint64_t k = kKeys * seg / kSlices;
+           k < kKeys * (seg + 1) / kSlices; ++k) {
+        std::string value = "slice" + std::to_string(seg) + "-" +
+                            std::to_string(k);
+        ASSERT_TRUE(writer.Append(k, value).ok());
+        expected[k] = value;
+      }
+      ASSERT_TRUE(writer.Finish().ok());
+      info.segments.push_back(path);
+      info.num_entries += writer.entries_written();
+    }
+    storage.Register(info);
+    ASSERT_TRUE(storage.PersistManifest().ok());
+  }
+
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE("storage_shards=" + std::to_string(shards));
+    Options options = ParallelOptions(dir.path(), 1);
+    options.storage_shards = shards;
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(options, &db).ok());
+    RecoveryStats stats;
+    ASSERT_TRUE(db->Recover(nullptr, &stats).ok());
+    EXPECT_EQ(stats.checkpoints_loaded, 1u);
+    EXPECT_EQ(stats.segments_loaded, kSlices);
+    ASSERT_TRUE(db->Start().ok());
+    EXPECT_EQ(DbToMap(db.get()), expected);
+  }
+}
+
 // Loading a segmented chain with a parallel worker pool must produce the
 // same state as a serial load, and must account every segment.
 TEST(ParallelCaptureTest, ParallelRecoveryLoadMatchesSerial) {
   TempDir dir;
   Options options = ParallelOptions(dir.path(), 4);
   options.algorithm = CheckpointAlgorithm::kPCalc;
+  options.storage_shards = 4;
   MicrobenchConfig config;
   config.num_records = 300;
   config.value_size = 64;
@@ -282,7 +339,7 @@ TEST(ParallelCaptureTest, ParallelRecoveryLoadMatchesSerial) {
   EXPECT_EQ(serial_state.size(), 300u);
   EXPECT_EQ(serial_state, parallel_state);
   EXPECT_EQ(serial_segments, parallel_segments);
-  EXPECT_GE(serial_segments, 9u);  // base file + 2 checkpoints x 4 segments
+  EXPECT_EQ(serial_segments, 12u);  // base + 2 partials, 4 segments each
 }
 
 }  // namespace

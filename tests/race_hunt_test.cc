@@ -138,13 +138,14 @@ TEST_P(RaceHuntCheckpointTest, MutatorVsCheckpointerSameRecords) {
   EXPECT_EQ(live, replayed);
 }
 
-// R6: parallel segmented capture (capture_threads=4) racing mutators. The
-// capture workers partition the slot space and run CaptureRecord
-// concurrently with each other *and* with post-VPoC writers installing
-// stable versions — the exact interleaving pCALC's per-record latch and
-// stable-status stamps must make safe. End-state replay equivalence plus
-// a chain audit (every segment footer + CRC intact, chain state equals
-// the ground truth at the last VPoC) catch torn or double-captured slots.
+// R6: parallel segmented capture (4 shards, 4 capture threads) racing
+// mutators. The capture workers take one shard each and run the CALC
+// capture hook concurrently with each other *and* with post-VPoC writers
+// installing stable versions — the exact interleaving pCALC's per-record
+// latch and stable-status stamps must make safe. End-state replay
+// equivalence plus a chain audit (every segment footer + CRC intact,
+// chain state equals the ground truth at the last VPoC) catch torn or
+// double-captured slots.
 class RaceHuntParallelCaptureTest
     : public ::testing::TestWithParam<CheckpointAlgorithm> {};
 
@@ -161,6 +162,7 @@ void RunSegmentedCaptureRace(CheckpointAlgorithm algo, bool async_io) {
   options.algorithm = algo;
   options.checkpoint_dir = dir.path();
   options.disk_bytes_per_sec = 0;
+  options.storage_shards = 4;
   options.capture_threads = 4;
   if (async_io) {
     options.ckpt_async_io = 1;

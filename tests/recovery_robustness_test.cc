@@ -145,7 +145,7 @@ TEST(RecoveryRobustnessTest, CorruptRegisteredCheckpointFailsLoudly) {
 TEST(RecoveryRobustnessTest, TornSegmentFallsBackToPreviousCheckpoint) {
   TempDir dir;
   Options options = MakeOptions(dir.path());
-  options.capture_threads = 4;  // force segmented capture
+  options.storage_shards = 4;  // force segmented capture
   MicrobenchConfig config = SmallConfig();
 
   StateMap at_first_poc;
@@ -177,10 +177,8 @@ TEST(RecoveryRobustnessTest, TornSegmentFallsBackToPreviousCheckpoint) {
     ASSERT_TRUE(db->Checkpoint().ok());
     second_segments = db->checkpoint_storage()->List().back().segments;
   }
-  // Segment layout: one per shard when sharded, else one per capture
-  // thread (the CALCDB_STORAGE_SHARDS sweep runs this test both ways).
-  uint32_t shards = Database::ResolvedStorageShards(options);
-  ASSERT_EQ(second_segments.size(), shards > 1 ? shards : 4u);
+  // Segment layout: one per shard.
+  ASSERT_EQ(second_segments.size(), 4u);
 
   // Truncate one segment of the newest checkpoint mid-record.
   const std::string& victim = second_segments[1];
