@@ -16,8 +16,9 @@ namespace calcdb {
 /// (paper §4.1.3-4.1.4). CALC never touches it: that is the headline
 /// difference the throughput-over-time figures show.
 ///
-/// The open-path check is a single relaxed atomic load, so the gate costs
-/// nothing when no checkpoint is being taken.
+/// The open path is two atomic loads (WaitAdmitted, and the executor's
+/// re-check after registering), so the gate costs nothing when no
+/// checkpoint is being taken.
 class AdmissionGate {
  public:
   AdmissionGate() = default;
@@ -31,12 +32,15 @@ class AdmissionGate {
     cv_.wait(lock, [&] { return open_.load(std::memory_order_acquire); });
   }
 
-  /// True if a transaction would be admitted right now.
-  bool IsOpen() const { return open_.load(std::memory_order_acquire); }
+  /// True if a transaction would be admitted right now. Sequentially
+  /// consistent: the executor re-reads the gate after registering, and
+  /// QuiesceAndRun reads the active count after Close — only a single
+  /// total order guarantees one of them sees the other's write.
+  bool IsOpen() const { return open_.load(std::memory_order_seq_cst); }
 
   void Close() {
     std::lock_guard<std::mutex> lock(mu_);
-    open_.store(false, std::memory_order_release);
+    open_.store(false, std::memory_order_seq_cst);
   }
 
   void Open() {

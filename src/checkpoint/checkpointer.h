@@ -102,7 +102,10 @@ class Checkpointer {
   // ------------------------------------------------------------------
 
   /// Blocks while the algorithm has admission closed (quiesce). CALC's
-  /// implementation is a no-op beyond the gate's single atomic load.
+  /// implementation is a no-op beyond the gate's single atomic load. The
+  /// executor re-reads the gate after registering and, if it closed in
+  /// between, deregisters and calls this again; an override must keep
+  /// "gate open" as its admission condition for that re-check to hold.
   virtual void AdmitTransaction() { engine_.gate->WaitAdmitted(); }
 
   /// Returns the version of `rec` this transaction should read, or null if

@@ -102,11 +102,13 @@ class PhaseController {
 
   /// Total currently-active transactions across all start phases. Used by
   /// the quiesce-based schemes (naive, fuzzy, IPP, Zigzag) to detect a
-  /// physical point of consistency once admission is closed.
+  /// physical point of consistency once admission is closed. seq_cst,
+  /// pairing with AdmissionGate::Close and the executor's gate re-check
+  /// after BeginTxn.
   int64_t TotalActive() const {
     int64_t n = 0;
     for (int i = 0; i < kNumPhases; ++i) {
-      n += active_[i].load(std::memory_order_acquire);
+      n += active_[i].load(std::memory_order_seq_cst);
     }
     return n;
   }

@@ -191,6 +191,9 @@ Status Database::Open(const Options& options,
   registry.RegisterCallbackGauge("calcdb.memory.pool_bytes", [] {
     return MemoryTracker::Global().pool_bytes();
   });
+  registry.RegisterCallbackGauge("calcdb.log.resident_bytes", [] {
+    return CommitLog::TotalResidentBytes();
+  });
   registry.RegisterCallbackGauge("calcdb.latch.contended_acquires", [] {
     return static_cast<int64_t>(
         obs::g_latch_contention.load(std::memory_order_relaxed));
@@ -284,7 +287,8 @@ Status Database::WriteBaseCheckpoint() {
     // in-memory log (just the token, typically) into its own generation
     // with a short-lived streamer; Start()'s streamer re-flushes the
     // prefix into the next generation, which the anchor rule's
-    // newest-first match handles.
+    // newest-first match handles. This one keeps the entries (kKeep):
+    // releasing them would leave that prefix out of the next generation.
     CommandLogStreamer flush(&log_);
     CALCDB_RETURN_NOT_OK(
         flush.Start(options_.command_log_path, /*flush_interval_ms=*/1));
@@ -374,7 +378,10 @@ Status Database::Start() {
   // The streamer starts first: the checkpointer's EngineContext carries
   // it so checkpoint cycles can gate registration on log durability.
   if (!options_.command_log_path.empty()) {
-    streamer_ = std::make_unique<CommandLogStreamer>(&log_);
+    // The only releasing streamer: once its entries are fsynced, their
+    // segments are dropped, so the log holds just the unflushed tail.
+    streamer_ = std::make_unique<CommandLogStreamer>(
+        &log_, LogRetention::kReleaseFlushed);
     CALCDB_RETURN_NOT_OK(streamer_->Start(options_.command_log_path,
                                           options_.command_log_flush_ms));
 #if CALCDB_OBS_ENABLED
@@ -531,6 +538,8 @@ std::string Database::GetStatsString() const {
   }
   line("log.entries", log_.Size());
   line("log.vpoc_count", log_.VpocCount());
+  line("log.resident_bytes",
+       static_cast<unsigned long long>(log_.ResidentBytes()));
   std::vector<CheckpointInfo> ckpts = ckpt_storage_.List();
   line("checkpoint.count", ckpts.size());
   line("checkpoint.chain_len", ckpt_storage_.RecoveryChain().size());

@@ -125,6 +125,9 @@ class Database {
 
   Executor* executor() { return executor_.get(); }
   ShardedStore* store() { return store_.get(); }
+  /// The in-memory commit log. With a command_log_path, its streamer
+  /// releases entries once they are durable, so only the unflushed tail
+  /// is readable; without one, every entry stays.
   CommitLog* commit_log() { return &log_; }
   CheckpointStorage* checkpoint_storage() { return &ckpt_storage_; }
   Checkpointer* checkpointer() { return checkpointer_.get(); }

@@ -165,14 +165,16 @@ Status CommandLogStreamer::Start(const std::string& path,
     running_.store(false, std::memory_order_release);
     return open_st;
   }
-  persisted_lsn_.store(0, std::memory_order_release);
+  // Entries below the log's release horizon are already in an earlier
+  // generation (and may be gone from memory): resume there.
+  persisted_lsn_.store(log_->ReleaseHorizon(), std::memory_order_release);
   {
     SpinLatchGuard guard(status_latch_);
     background_status_ = Status::OK();
   }
   thread_ = std::thread([this, flush_interval_ms] {
     while (running_.load(std::memory_order_acquire)) {
-      Status st = FlushUpTo(log_->Size());
+      Status st = Flush();
       if (!st.ok()) {
         SetBackgroundStatus(st);
         return;
@@ -183,27 +185,31 @@ Status CommandLogStreamer::Start(const std::string& path,
   return Status::OK();
 }
 
-Status CommandLogStreamer::FlushUpTo(uint64_t target_lsn) {
+Status CommandLogStreamer::Flush() {
   uint64_t from = persisted_lsn_.load(std::memory_order_acquire);
-  if (target_lsn <= from) return Status::OK();
-  std::string batch;
-  for (uint64_t lsn = from; lsn < target_lsn; ++lsn) {
-    CommitLog::EncodeEntry(log_->Entry(lsn), &batch);
-  }
-  CALCDB_TRACE_SPAN(flush_span, "log_flush", "log", target_lsn - from);
+  // One latch acquisition snapshots every unflushed frame; the bytes are
+  // written without it (only this streamer releases them).
+  uint64_t target = log_->SnapshotFrames(from, &ranges_);
+  if (target <= from) return Status::OK();
+  CALCDB_TRACE_SPAN(flush_span, "log_flush", "log", target - from);
   CALCDB_OBS_ONLY(int64_t flush_start_us = NowMicros();)
   // A crash before the append loses the whole batch; a crash between
   // append and fsync may persist any prefix of it. The loader tolerates
   // both (torn tail discarded).
   CALCDB_FAULT_POINT("log.batch_append");
-  CALCDB_RETURN_NOT_OK(writer_.Append(batch.data(), batch.size()));
+  size_t batch_bytes = 0;
+  for (const CommitLog::ByteRange& r : ranges_) {
+    CALCDB_RETURN_NOT_OK(writer_.Append(r.data, r.size));
+    batch_bytes += r.size;
+  }
   CALCDB_FAULT_POINT("log.fsync");
   CALCDB_RETURN_NOT_OK(writer_.Sync());
   CALCDB_HISTOGRAM_RECORD("calcdb.log.fsync_us",
                           NowMicros() - flush_start_us);
   CALCDB_COUNTER_ADD("calcdb.log.flushes", 1);
-  CALCDB_COUNTER_ADD("calcdb.log.flushed_bytes", batch.size());
-  persisted_lsn_.store(target_lsn, std::memory_order_release);
+  CALCDB_COUNTER_ADD("calcdb.log.flushed_bytes", batch_bytes);
+  persisted_lsn_.store(target, std::memory_order_release);
+  if (retention_ == LogRetention::kReleaseFlushed) log_->ReleaseBelow(target);
   return Status::OK();
 }
 
@@ -217,7 +223,7 @@ Status CommandLogStreamer::Stop() {
   // A drain failure is also recorded as the background status so a
   // checkpoint cycle blocked in WaitLogDurable observes it and fails
   // instead of waiting on a horizon that will never advance.
-  Status drain_st = FlushUpTo(log_->Size());
+  Status drain_st = Flush();
   if (!drain_st.ok()) {
     SetBackgroundStatus(drain_st);
     return drain_st;

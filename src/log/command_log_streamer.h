@@ -13,15 +13,31 @@
 
 namespace calcdb {
 
+/// What a streamer does with log entries once they are durable.
+enum class LogRetention {
+  kKeep,            ///< leave them in memory (the log stays complete)
+  kReleaseFlushed,  ///< release their segments (CommitLog::ReleaseBelow)
+};
+
 /// Continuously persists the command log to stable storage.
 ///
 /// CALC's durability story (paper §1, §3) pairs checkpoints with
 /// "command logging" — logging transactional *input* in commit order. The
-/// streamer tails the in-memory CommitLog from a background thread,
-/// appending newly committed entries to a file in batches and fsyncing
-/// after every batch (group durability). After a crash, LoadFrom on the
-/// streamed file yields every entry whose append hit the device; a torn
-/// final entry is discarded by the loader.
+/// streamer tails the in-memory CommitLog from a background thread. Each
+/// flush takes the log latch once to snapshot the already-encoded frame
+/// bytes of every entry not yet persisted, appends them to a file and
+/// fsyncs (group durability). After a crash, LoadFrom on the streamed
+/// file yields every entry whose append hit the device; a torn final
+/// entry is discarded by the loader.
+///
+/// Truncation. A kReleaseFlushed streamer releases the log's segments
+/// once their entries are fsynced, so a streaming process holds only the
+/// not-yet-durable tail in memory. Only the Database's long-running
+/// streamer releases; a log may have at most one releasing streamer.
+/// Start resumes at the log's release horizon (LSN 0 unless an earlier
+/// releasing streamer persisted a prefix), so restarting a releasing
+/// streamer writes each entry to exactly one generation, while a kKeep
+/// streamer started before it re-flushes the log from LSN 0.
 ///
 /// Log generations. Each process lifetime streams into its own
 /// generation-numbered file, `<path>.NNNNNN`: Start scans for existing
@@ -35,8 +51,10 @@ namespace calcdb {
 /// accepted generation round-trips through GenerationPath. Recovery
 /// replays the generations in order
 /// (RecoveryManager::ReplayLogGenerations; retirement rules in
-/// docs/DURABILITY.md). A streamer is single-use: one Start/Stop per
-/// instance, one generation per process lifetime.
+/// docs/DURABILITY.md). A streamer is single-use in practice: one
+/// Start/Stop per instance, one generation per process lifetime. Start
+/// after Stop opens a further generation that resumes at the release
+/// horizon; it cannot re-stream entries already released.
 ///
 /// Checkpoint cycles use `persisted_lsn()` as a durability barrier: a
 /// checkpoint may be registered in the manifest only after its RESOLVE
@@ -50,7 +68,9 @@ namespace calcdb {
 /// accept it (paper §1's three application classes).
 class CommandLogStreamer {
  public:
-  explicit CommandLogStreamer(const CommitLog* log) : log_(log) {}
+  explicit CommandLogStreamer(CommitLog* log,
+                              LogRetention retention = LogRetention::kKeep)
+      : log_(log), retention_(retention) {}
   ~CommandLogStreamer() {
     // calcdb-status-ignored: destructor has no error channel; Stop()
     // already folds final-drain failures into background_status, and
@@ -70,7 +90,8 @@ class CommandLogStreamer {
   /// the first background flush error if the streaming thread died.
   [[nodiscard]] Status Stop();
 
-  /// LSNs [0, persisted_lsn) are durable in this streamer's generation.
+  /// LSNs [0, persisted_lsn) are durable: those from the release horizon
+  /// at Start on in this streamer's generation, the rest in earlier ones.
   uint64_t persisted_lsn() const {
     return persisted_lsn_.load(std::memory_order_acquire);
   }
@@ -93,10 +114,14 @@ class CommandLogStreamer {
                                            std::vector<std::string>* out);
 
  private:
-  [[nodiscard]] Status FlushUpTo(uint64_t target_lsn);
+  /// Writes and fsyncs every entry appended so far, then releases them
+  /// under kReleaseFlushed.
+  [[nodiscard]] Status Flush();
   void SetBackgroundStatus(const Status& st);
 
-  const CommitLog* log_;
+  CommitLog* const log_;
+  const LogRetention retention_;
+  std::vector<CommitLog::ByteRange> ranges_;  ///< reused by every Flush
   ThrottledFileWriter writer_;
   std::atomic<bool> running_{false};
   std::atomic<uint64_t> persisted_lsn_{0};

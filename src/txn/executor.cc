@@ -43,17 +43,25 @@ Status Executor::Execute(uint32_t proc_id, std::string args,
     return Status::InvalidArgument("unknown procedure id");
   }
 
-  // 1. Admission: quiesce-based checkpointers may block us here.
-  checkpointer_->AdmitTransaction();
-
   Txn txn;
   txn.txn_id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
   txn.proc_id = proc_id;
   txn.arrival_us = arrival_us;
 
-  // 2. Register: "each transaction makes note of the phase during which it
-  // begins executing".
-  txn.start_phase = engine_.phases->BeginTxn();
+  // 1-2. Admission, then register: "each transaction makes note of the
+  // phase during which it begins executing". Register-then-check, like
+  // BeginTxn's phase re-check: QuiesceAndRun closes the gate and then
+  // drains the active count, so a transaction that passed the gate but
+  // had not registered yet would be invisible to the drain. Re-reading
+  // the gate after registering closes that window; the gate store, the
+  // increment and both loads are seq_cst (store-buffering pattern).
+  for (;;) {
+    checkpointer_->AdmitTransaction();
+    if (admit_hook_) admit_hook_();
+    txn.start_phase = engine_.phases->BeginTxn();
+    if (engine_.gate->IsOpen()) break;
+    engine_.phases->EndTxn(txn.start_phase);
+  }
 
   // 3. Locks, acquired in canonical order.
   KeySets sets;

@@ -3,7 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 
 #include "checkpoint/checkpointer.h"
 #include "txn/lock_manager.h"
@@ -19,6 +21,8 @@ namespace calcdb {
 ///
 ///   1. admission (blocks if the checkpointer has closed the gate),
 ///   2. register with the PhaseController (txn.start_phase := current),
+///      then re-check the gate; if it closed meanwhile, deregister and
+///      go back to 1,
 ///   3. acquire all stripe locks in canonical order (deadlock-free 2PL),
 ///   4. run the stored procedure against a buffering TxnContext,
 ///   5. apply the buffered writes through the checkpointer's write hook,
@@ -72,6 +76,13 @@ class Executor {
     return aborted_.load(std::memory_order_relaxed);
   }
 
+  /// Test-only: runs between admission and registration on every
+  /// attempt, to widen the window a quiesce must not miss. Set before
+  /// any transaction runs.
+  void SetAdmitHookForTesting(std::function<void()> hook) {
+    admit_hook_ = std::move(hook);
+  }
+
   Checkpointer* checkpointer() const { return checkpointer_; }
   const EngineContext& engine() const { return engine_; }
 
@@ -80,6 +91,7 @@ class Executor {
   const ProcedureRegistry* registry_;
   Checkpointer* checkpointer_;
   LockManager* lock_manager_;
+  std::function<void()> admit_hook_;
 
   std::atomic<uint64_t> next_txn_id_{1};
   std::atomic<uint64_t> committed_{0};

@@ -60,10 +60,10 @@ constexpr FaultPointInfo kRegistry[] = {
      "Database::WriteBaseCheckpoint, after Finish, before Register + "
      "PersistManifest"},
     {"log.batch_append",
-     "CommandLogStreamer::FlushUpTo, before a batch is appended to the "
+     "CommandLogStreamer::Flush, before a batch is appended to the "
      "log file"},
     {"log.fsync",
-     "CommandLogStreamer::FlushUpTo, after the append, before Sync"},
+     "CommandLogStreamer::Flush, after the append, before Sync"},
 };
 
 constexpr size_t kRegistrySize = sizeof(kRegistry) / sizeof(kRegistry[0]);

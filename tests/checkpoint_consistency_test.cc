@@ -73,7 +73,14 @@ struct ConsistencyCase {
   bool with_deletes;
   bool with_inserts;     // keys beyond the initially loaded range
   uint8_t storage_shards = 0;  // 0: auto (CALCDB_STORAGE_SHARDS, else 1)
+  // Every transaction waits up to kWidenedAdmitMicros between passing
+  // the admission gate and registering as active — the window a quiesce
+  // (gate close, then drain) must not miss. One byte, so the struct's
+  // size (part of each case's printed name) stays the same.
+  bool widen_admit = false;
 };
+
+constexpr int64_t kWidenedAdmitMicros = 300;
 
 class CheckpointConsistencyTest
     : public ::testing::TestWithParam<ConsistencyCase> {};
@@ -101,6 +108,18 @@ TEST_P(CheckpointConsistencyTest, CheckpointEqualsStateAtPoC) {
   ASSERT_TRUE(Database::Open(options, &db).ok());
   SeedDb(db.get());
   ASSERT_TRUE(db->Start().ok());
+  if (param.widen_admit) {
+    // Linger in the window, and leave it as soon as the gate closes: a
+    // transaction that passed admission then registers just after the
+    // quiesce started draining, the interleaving the drain must catch.
+    AdmissionGate* gate = db->gate();
+    db->executor()->SetAdmitHookForTesting([gate] {
+      const int64_t until = NowMicros() + kWidenedAdmitMicros;
+      while (gate->IsOpen() && NowMicros() < until) {
+        std::this_thread::yield();
+      }
+    });
+  }
 
   // Mutator threads run throughout all checkpoint cycles.
   std::atomic<bool> stop{false};
@@ -207,7 +226,16 @@ INSTANTIATE_TEST_SUITE_P(
         ConsistencyCase{CheckpointAlgorithm::kZigzag, 3, true, true, 4},
         ConsistencyCase{CheckpointAlgorithm::kPZigzag, 3, true, true, 4},
         ConsistencyCase{CheckpointAlgorithm::kMvcc, 3, true, true, 4},
-        ConsistencyCase{CheckpointAlgorithm::kFork, 3, true, true, 4}),
+        ConsistencyCase{CheckpointAlgorithm::kFork, 3, true, true, 4},
+        // The quiescing captures with the admission window widened: a
+        // transaction that passed the gate but had not registered yet
+        // must still hold the drain off (register-then-check).
+        ConsistencyCase{CheckpointAlgorithm::kNaive, 6, true, true, 0, true},
+        ConsistencyCase{CheckpointAlgorithm::kPNaive, 6, true, true, 0, true},
+        ConsistencyCase{CheckpointAlgorithm::kFork, 6, true, true, 0, true},
+        ConsistencyCase{CheckpointAlgorithm::kNaive, 6, true, true, 4, true},
+        ConsistencyCase{CheckpointAlgorithm::kPNaive, 6, true, true, 4, true},
+        ConsistencyCase{CheckpointAlgorithm::kFork, 6, true, true, 4, true}),
     [](const ::testing::TestParamInfo<ConsistencyCase>& info) {
       std::string name = AlgorithmName(info.param.algorithm);
       for (char& c : name) {
@@ -219,6 +247,7 @@ INSTANTIATE_TEST_SUITE_P(
       if (info.param.storage_shards > 1) {
         name += "_s" + std::to_string(info.param.storage_shards);
       }
+      if (info.param.widen_admit) name += "_widened";
       return name;
     });
 

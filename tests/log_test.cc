@@ -1,13 +1,20 @@
 // Tests for the commit log (commit tokens, phase tokens, VPoC counting,
-// persistence) and the PhaseController.
+// persistence, segments and truncation) and the PhaseController.
 
+#include <fstream>
+#include <iterator>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "checkpoint/phase.h"
 #include "gtest/gtest.h"
+#include "log/command_log_streamer.h"
 #include "log/commit_log.h"
 #include "tests/test_util.h"
+#include "util/clock.h"
+#include "util/rng.h"
 
 namespace calcdb {
 namespace {
@@ -130,6 +137,169 @@ TEST(CommitLogTest, ConcurrentAppendsAllLand) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(log.Size(), 4000u);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+uint64_t Append(CommitLog* log, const LogEntry& e) {
+  return e.type == LogEntry::Type::kCommit
+             ? log->AppendCommit(e.txn_id, e.proc_id, e.args)
+             : log->AppendPhaseTransition(e.phase, e.checkpoint_id);
+}
+
+// A fixed mixed sequence: commits with args from empty to a few hundred
+// bytes, one commit larger than a whole segment, and a phase token every
+// 50 entries. About 4 segments' worth.
+std::vector<LogEntry> MixedSequence() {
+  std::vector<LogEntry> out;
+  Rng rng(42);
+  for (uint64_t i = 0; i < 24000; ++i) {
+    LogEntry e;
+    if (i % 50 == 49) {
+      e.type = LogEntry::Type::kPhaseTransition;
+      e.phase = static_cast<Phase>((i / 50) % kNumPhases);
+      e.checkpoint_id = i / 250 + 1;
+    } else {
+      e.txn_id = i + 1;
+      e.proc_id = static_cast<uint32_t>(rng.Uniform(8));
+      size_t len = i == 7000 ? CommitLog::kSegmentBytes + 1000
+                             : static_cast<size_t>(rng.Uniform(300));
+      e.args.assign(len, static_cast<char>('a' + i % 26));
+    }
+    out.push_back(std::move(e));
+  }
+  return out;
+}
+
+// The on-disk format is the one EncodeEntry writes: a streamed generation
+// (with its segments released as it goes) and PersistTo are both
+// byte-identical to a golden built entry by entry.
+TEST(CommitLogTest, StreamedAndPersistedBytesMatchEncodeEntryGolden) {
+  std::vector<LogEntry> entries = MixedSequence();
+  std::string golden;
+  for (const LogEntry& e : entries) CommitLog::EncodeEntry(e, &golden);
+  ASSERT_GT(golden.size(), 3 * CommitLog::kSegmentBytes);
+
+  testing_util::TempDir dir;
+  CommitLog streamed;
+  CommandLogStreamer streamer(&streamed, LogRetention::kReleaseFlushed);
+  ASSERT_TRUE(streamer.Start(dir.path() + "/stream", 1).ok());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    ASSERT_EQ(Append(&streamed, entries[i]), i);
+    if (i % 4000 == 0) SleepMicros(3000);  // let flushes interleave
+  }
+  ASSERT_TRUE(streamer.Stop().ok());
+  EXPECT_EQ(ReadFile(streamer.active_path()), golden);
+  EXPECT_EQ(streamed.ReleaseHorizon(), entries.size());
+
+  CommitLog whole;
+  for (const LogEntry& e : entries) Append(&whole, e);
+  ASSERT_TRUE(whole.PersistTo(dir.path() + "/persisted").ok());
+  EXPECT_EQ(ReadFile(dir.path() + "/persisted"), golden);
+
+  // LoadFrom keeps the frames as they are: persisting the loaded log
+  // reproduces the file, and every entry decodes back.
+  CommitLog loaded;
+  ASSERT_TRUE(loaded.LoadFrom(streamer.active_path()).ok());
+  ASSERT_EQ(loaded.Size(), entries.size());
+  ASSERT_TRUE(loaded.PersistTo(dir.path() + "/reloaded").ok());
+  EXPECT_EQ(ReadFile(dir.path() + "/reloaded"), golden);
+  for (size_t i = 0; i < entries.size(); i += 997) {
+    LogEntry e = loaded.Entry(i);
+    EXPECT_EQ(e.type, entries[i].type) << i;
+    EXPECT_EQ(e.txn_id, entries[i].txn_id) << i;
+    EXPECT_EQ(e.args, entries[i].args) << i;
+    EXPECT_EQ(e.checkpoint_id, entries[i].checkpoint_id) << i;
+  }
+  EXPECT_EQ(loaded.Entry(7000).args.size(), CommitLog::kSegmentBytes + 1000);
+}
+
+// FindPhaseToken and CommitCount read an index and a counter; they must
+// agree with a linear scan of the entries, duplicates included.
+TEST(CommitLogTest, PhaseIndexAndCommitCountMatchLinearScan) {
+  std::vector<LogEntry> entries;
+  Rng rng(9);
+  for (int i = 0; i < 5000; ++i) {
+    LogEntry e;
+    if (rng.Bernoulli(0.2)) {
+      e.type = LogEntry::Type::kPhaseTransition;
+      e.phase = static_cast<Phase>(rng.Uniform(kNumPhases));
+      e.checkpoint_id = rng.Uniform(20);
+    } else {
+      e.txn_id = static_cast<uint64_t>(i);
+      e.args.assign(static_cast<size_t>(rng.Uniform(64)), 'x');
+    }
+    entries.push_back(std::move(e));
+  }
+  testing_util::TempDir dir;
+  CommitLog log;
+  for (const LogEntry& e : entries) Append(&log, e);
+  ASSERT_TRUE(log.PersistTo(dir.path() + "/log").ok());
+  CommitLog loaded;
+  ASSERT_TRUE(loaded.LoadFrom(dir.path() + "/log").ok());
+
+  uint64_t commits = 0;
+  for (const LogEntry& e : entries) {
+    if (e.type == LogEntry::Type::kCommit) ++commits;
+  }
+  for (const CommitLog* l : {&log, &loaded}) {
+    EXPECT_EQ(l->CommitCount(), commits);
+    for (uint64_t id = 0; id <= 21; ++id) {
+      for (int p = 0; p < kNumPhases; ++p) {
+        Phase phase = static_cast<Phase>(p);
+        bool want_found = false;
+        uint64_t want = 0;
+        for (uint64_t lsn = 0; lsn < entries.size(); ++lsn) {
+          const LogEntry& e = entries[lsn];
+          if (e.type == LogEntry::Type::kPhaseTransition &&
+              e.checkpoint_id == id && e.phase == phase) {
+            want_found = true;
+            want = lsn;
+            break;
+          }
+        }
+        uint64_t got = 0;
+        ASSERT_EQ(l->FindPhaseToken(id, phase, &got), want_found)
+            << id << " " << PhaseName(phase);
+        if (want_found) EXPECT_EQ(got, want) << id << " " << PhaseName(phase);
+      }
+    }
+  }
+}
+
+TEST(CommitLogTest, ReleaseDropsWholeSegmentsAndKeepsLsnsAbsolute) {
+  CommitLog log;
+  const std::string args(1000, 'r');
+  const uint64_t n = 3 * CommitLog::kSegmentBytes / 1000;
+  for (uint64_t i = 0; i < n; ++i) log.AppendCommit(i, 1, args);
+  log.AppendPhaseTransition(Phase::kResolve, 1);
+  int64_t before = log.ResidentBytes();
+  EXPECT_GE(before, static_cast<int64_t>(3 * CommitLog::kSegmentBytes));
+
+  log.ReleaseBelow(n);
+  EXPECT_EQ(log.ReleaseHorizon(), n);
+  EXPECT_LT(log.ResidentBytes(), before);
+  EXPECT_EQ(log.Size(), n + 1);
+  EXPECT_EQ(log.CommitCount(), n);  // a counter: released entries count
+  uint64_t lsn = 0;
+  EXPECT_TRUE(log.FindPhaseToken(1, Phase::kResolve, &lsn));
+  EXPECT_EQ(lsn, n);
+  EXPECT_THROW(log.Entry(0), std::out_of_range);
+  EXPECT_THROW(log.CommitsFrom(0), std::out_of_range);
+  EXPECT_EQ(log.Entry(n - 1).txn_id, n - 1);  // same segment as the tail
+  testing_util::TempDir dir;
+  EXPECT_FALSE(log.PersistTo(dir.path() + "/partial").ok());
+
+  // The spare segment is reused: appending another segment's worth does
+  // not grow the footprint past the pre-release peak.
+  for (uint64_t i = 0; i < CommitLog::kSegmentBytes / 1000; ++i) {
+    log.AppendCommit(n + i, 1, args);
+  }
+  EXPECT_LE(log.ResidentBytes(), before);
 }
 
 TEST(PhaseControllerTest, BeginEndCounts) {

@@ -145,6 +145,9 @@ void AppendPod(std::string* out, T v) {
 TEST(ParallelCaptureTest, SingleThreadCaptureIsByteStable) {
   TempDir dir;
   Options options = ParallelOptions(dir.path(), 1);
+  // The golden below is the single-file layout: pin one shard so a
+  // CALCDB_STORAGE_SHARDS override cannot turn it into segments.
+  options.storage_shards = 1;
   std::unique_ptr<Database> db;
   ASSERT_TRUE(Database::Open(options, &db).ok());
   for (uint64_t k = 0; k < 40; ++k) {

@@ -398,11 +398,13 @@ TEST(RaceHuntTest, LogRotationDuringAppend) {
   });
 
   // Rotate the streamer across files while the log is being appended to.
-  // Each Start opens a fresh generation of its base path; record the
-  // actual generation file (active_path) so the load below reads what
-  // was written.
+  // Each Start opens a fresh generation of its base path and resumes at
+  // the log's release horizon (the releasing streamer drops what it has
+  // fsynced, so nothing can re-stream from LSN 0); record the actual
+  // generation file (active_path) so the load below reads what was
+  // written.
   std::vector<std::string> files;
-  CommandLogStreamer streamer(&log);
+  CommandLogStreamer streamer(&log, LogRetention::kReleaseFlushed);
   const int kRotations = 5;
   for (int r = 0; r < kRotations; ++r) {
     const std::string base = dir.path() + "/commandlog." + std::to_string(r);
@@ -417,16 +419,33 @@ TEST(RaceHuntTest, LogRotationDuringAppend) {
   stop.store(true, std::memory_order_release);
   threads[2].join();
 
-  // The final generation re-streamed the log from LSN 0 and was stopped
-  // after the appenders finished their writes-so-far; every file must be
-  // loadable (framing and CRCs intact) — a torn tail would mean rotation
-  // raced the writer thread's buffer.
+  // Every file must be loadable (framing and CRCs intact) — a torn tail
+  // would mean rotation raced the writer thread's buffer. The generations
+  // in order, then the unflushed in-memory tail, must hold every entry
+  // exactly once in LSN order: no append lost or duplicated by the
+  // rotation storm or by the releases behind it.
+  std::vector<LogEntry> commits;
+  uint64_t entries = 0;
   for (const std::string& file : files) {
     CommitLog loaded;
     ASSERT_TRUE(loaded.LoadFrom(file).ok()) << file;
+    entries += loaded.Size();
+    std::vector<LogEntry> part = loaded.CommitsFrom(0);
+    commits.insert(commits.end(), part.begin(), part.end());
   }
-  // No append was lost or duplicated by the rotation storm.
-  EXPECT_EQ(log.CommitsFrom(0).size(), static_cast<size_t>(2 * kAppends));
+  const uint64_t persisted = streamer.persisted_lsn();
+  EXPECT_EQ(entries, persisted);
+  std::vector<LogEntry> tail = log.CommitsFrom(persisted);
+  commits.insert(commits.end(), tail.begin(), tail.end());
+  ASSERT_EQ(commits.size(), static_cast<size_t>(2 * kAppends));
+  // Each appender's ids are consecutive, so LSN order means each thread's
+  // ids appear as 0, 1, 2, ... in the concatenation.
+  uint64_t next[2] = {0, 1000000};
+  for (const LogEntry& e : commits) {
+    uint64_t& want = next[e.txn_id >= 1000000 ? 1 : 0];
+    ASSERT_EQ(e.txn_id, want);
+    ++want;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
 // Tests for the command-log streamer: continuous persistence, torn-tail
 // tolerance, and end-to-end streamed recovery through the Database facade.
 
+#include <algorithm>
+#include <atomic>
+#include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "log/command_log_streamer.h"
+#include "obs/obs.h"
 #include "tests/test_util.h"
 #include "util/throttled_file.h"
 #include "workload/microbench.h"
@@ -170,6 +176,195 @@ TEST(CommandLogStreamerTest, DoubleStartRejected) {
   EXPECT_TRUE(streamer.Stop().ok());
   EXPECT_TRUE(streamer.Stop().ok());  // idempotent
 }
+
+// A releasing streamer bounds the log. Two appenders and a coordinator
+// run 1000 checkpoint-sized rounds (five phase tokens and 200 commits
+// each); like a checkpoint cycle's durability barrier, each round waits
+// until the streamer has fsynced it. The log's resident bytes stay under
+// a few segments although many times that is appended, and the
+// generation holds every commit exactly once, in append order.
+TEST(CommandLogStreamerTest, ReleasingStreamerKeepsResidentBytesBounded) {
+  TempDir dir;
+  CommitLog log;
+  PhaseController phases;
+  CommandLogStreamer streamer(&log, LogRetention::kReleaseFlushed);
+  ASSERT_TRUE(streamer.Start(dir.path() + "/stream", 1).ok());
+  const int kRounds = 1000;
+  const uint64_t kPerRound = 100;  // commits per appender per round
+  std::atomic<int> round{0};
+  std::atomic<int> appender_rounds_done{0};
+  std::vector<std::thread> appenders;
+  for (uint64_t t = 0; t < 2; ++t) {
+    appenders.emplace_back([&, t] {
+      for (int r = 1; r <= kRounds; ++r) {
+        while (round.load(std::memory_order_acquire) < r) {
+          std::this_thread::yield();
+        }
+        for (uint64_t i = 0; i < kPerRound; ++i) {
+          Phase commit_phase;
+          log.AppendCommit(t * 1000000 + (r - 1) * kPerRound + i, 1,
+                           std::string(64, 'c'), &phases, &commit_phase);
+        }
+        appender_rounds_done.fetch_add(1, std::memory_order_release);
+      }
+    });
+  }
+  int64_t peak = 0;
+  for (int r = 1; r <= kRounds; ++r) {
+    round.store(r, std::memory_order_release);
+    for (Phase p : {Phase::kPrepare, Phase::kResolve, Phase::kCapture,
+                    Phase::kComplete, Phase::kRest}) {
+      log.AppendPhaseTransition(p, static_cast<uint64_t>(r), &phases);
+      peak = std::max(peak, log.ResidentBytes());
+    }
+    while (appender_rounds_done.load(std::memory_order_acquire) < 2 * r) {
+      std::this_thread::yield();
+    }
+    const uint64_t end = log.Size();
+    while (streamer.persisted_lsn() < end) {
+      peak = std::max(peak, log.ResidentBytes());
+      SleepMicros(100);
+    }
+  }
+  for (std::thread& t : appenders) t.join();
+  ASSERT_TRUE(streamer.Stop().ok());
+  const int64_t bound = 4 * CommitLog::kSegmentBytes;
+  EXPECT_LE(peak, bound);
+  EXPECT_EQ(log.ReleaseHorizon(), log.Size());  // Stop drained it all
+  EXPECT_GT(std::filesystem::file_size(streamer.active_path()),
+            static_cast<uintmax_t>(8 * bound));
+
+  CommitLog loaded;
+  ASSERT_TRUE(loaded.LoadFrom(streamer.active_path()).ok());
+  ASSERT_EQ(loaded.Size(), log.Size());
+  std::vector<LogEntry> commits = loaded.CommitsFrom(0);
+  ASSERT_EQ(commits.size(), 2 * kRounds * kPerRound);
+  std::set<uint64_t> seen;
+  uint64_t next[2] = {0, 1000000};
+  for (const LogEntry& e : commits) {
+    EXPECT_TRUE(seen.insert(e.txn_id).second) << e.txn_id;
+    uint64_t& want = next[e.txn_id >= 1000000 ? 1 : 0];
+    EXPECT_EQ(e.txn_id, want);
+    want = e.txn_id + 1;
+  }
+}
+
+// Without a command_log_path the in-memory log is the only copy: nothing
+// releases it, checkpoints included, so every entry stays readable.
+TEST(StreamedRecoveryTest, DatabaseWithoutCommandLogKeepsWholeLog) {
+  TempDir dir;
+  MicrobenchConfig config;
+  config.num_records = 100;
+  config.value_size = 16;
+  config.ops_per_txn = 2;
+  Options options;
+  options.max_records = 512;
+  options.algorithm = CheckpointAlgorithm::kCalc;
+  options.checkpoint_dir = dir.path();
+  options.disk_bytes_per_sec = 0;
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(options, &db).ok());
+  ASSERT_TRUE(SetupMicrobench(db.get(), config).ok());
+  ASSERT_TRUE(db->Start().ok());
+  MicrobenchWorkload workload(config);
+  Rng rng(11);
+  Txn first;
+  for (int i = 0; i < 10000; ++i) {
+    TxnRequest req = workload.Next(rng);
+    ASSERT_TRUE(db->executor()
+                    ->Execute(req.proc_id, std::move(req.args), 0,
+                              i == 0 ? &first : nullptr)
+                    .ok());
+    if (i == 5000) ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  const CommitLog& log = *db->commit_log();
+  EXPECT_EQ(log.ReleaseHorizon(), 0u);
+  EXPECT_EQ(log.CommitCount(), 10000u);
+  LogEntry e = log.Entry(0);
+  EXPECT_EQ(e.type, LogEntry::Type::kCommit);
+  EXPECT_EQ(e.txn_id, first.txn_id);
+  EXPECT_EQ(log.CommitsFrom(0).size(), 10000u);
+}
+
+// With a command_log_path the Database's streamer releases what it has
+// made durable; the log keeps counting LSNs across the release.
+TEST(StreamedRecoveryTest, StreamingDatabaseReleasesDurablePrefix) {
+  TempDir dir;
+  MicrobenchConfig config;
+  config.num_records = 100;
+  config.value_size = 16;
+  config.ops_per_txn = 10;
+  Options options;
+  options.max_records = 512;
+  options.algorithm = CheckpointAlgorithm::kCalc;
+  options.checkpoint_dir = dir.path() + "/ckpt";
+  options.disk_bytes_per_sec = 0;
+  options.command_log_path = dir.path() + "/commandlog";
+  options.command_log_flush_ms = 1;
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(options, &db).ok());
+  ASSERT_TRUE(SetupMicrobench(db.get(), config).ok());
+  ASSERT_TRUE(db->Start().ok());
+  MicrobenchWorkload workload(config);
+  Rng rng(12);
+  // Past one segment, so the streamer has a whole segment to release.
+  const int kTxns = 20000;
+  for (int i = 0; i < kTxns; ++i) {
+    TxnRequest req = workload.Next(rng);
+    ASSERT_TRUE(
+        db->executor()->Execute(req.proc_id, std::move(req.args), 0).ok());
+  }
+  const CommitLog& log = *db->commit_log();
+  const uint64_t end = log.Size();
+  while (db->command_log_streamer()->persisted_lsn() < end) {
+    SleepMicros(1000);
+  }
+  EXPECT_GT(log.ReleaseHorizon(), 0u);
+  EXPECT_THROW(log.Entry(0), std::out_of_range);
+  EXPECT_EQ(log.CommitCount(), static_cast<uint64_t>(kTxns));
+  EXPECT_LE(log.ResidentBytes(),
+            static_cast<int64_t>(3 * CommitLog::kSegmentBytes));
+}
+
+#if CALCDB_OBS_ENABLED
+// The log's resident bytes reach the StatsReporter JSONL as a gauge.
+TEST(StreamedRecoveryTest, StatsJsonlReportsLogResidentBytes) {
+  TempDir dir;
+  MicrobenchConfig config;
+  config.num_records = 100;
+  config.value_size = 16;
+  config.ops_per_txn = 2;
+  Options options;
+  options.max_records = 512;
+  options.algorithm = CheckpointAlgorithm::kCalc;
+  options.checkpoint_dir = dir.path() + "/ckpt";
+  options.disk_bytes_per_sec = 0;
+  options.command_log_path = dir.path() + "/commandlog";
+  options.stats_dump_period_ms = 10;
+  options.stats_dump_path = dir.path() + "/stats.jsonl";
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(options, &db).ok());
+  ASSERT_TRUE(SetupMicrobench(db.get(), config).ok());
+  ASSERT_TRUE(db->Start().ok());
+  MicrobenchWorkload workload(config);
+  Rng rng(13);
+  for (int i = 0; i < 100; ++i) {
+    TxnRequest req = workload.Next(rng);
+    ASSERT_TRUE(
+        db->executor()->Execute(req.proc_id, std::move(req.args), 0).ok());
+  }
+  SleepMicros(50000);
+  ASSERT_TRUE(db->Shutdown().ok());
+  std::ifstream in(options.stats_dump_path);
+  std::string line;
+  size_t lines = 0;
+  while (std::getline(in, line)) {
+    ++lines;
+    EXPECT_NE(line.find("\"calcdb.log.resident_bytes\""), std::string::npos);
+  }
+  EXPECT_GE(lines, 1u);
+}
+#endif  // CALCDB_OBS_ENABLED
 
 // The registration durability barrier: a checkpoint may enter the
 // manifest only after its RESOLVE token's flush batch is fsynced.

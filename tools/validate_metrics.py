@@ -167,7 +167,8 @@ GOOD = {
     "meta": {"bench": "fig2_full_microbench", "ts_us": "12345"},
     "counters": {"calcdb.txn.committed": 100, "calcdb.log.appends": 100,
                  "calcdb.ckpt.CALC.cycles": 2},
-    "gauges": {"calcdb.memory.value_bytes": 4096},
+    "gauges": {"calcdb.memory.value_bytes": 4096,
+               "calcdb.log.resident_bytes": 262144},
     "histograms": {
         "calcdb.txn.lock_wait_us":
             {"count": 100, "mean_us": 1.5, "p50_us": 1, "p99_us": 9,
@@ -190,6 +191,7 @@ SELF_TEST_CASES = [
     (False, lambda d: (d["histograms"]["calcdb.txn.lock_wait_us"].update(
         {"p50_us": 99}), d)[1]),
     (False, lambda d: (d["histograms"].pop("calcdb.txn.lock_wait_us"), d)[1]),
+    (False, lambda d: (d["gauges"].pop("calcdb.log.resident_bytes"), d)[1]),
 ]
 
 
