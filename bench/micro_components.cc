@@ -278,39 +278,6 @@ void BM_SerializeBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_SerializeBlock)->Unit(benchmark::kMillisecond);
 
-void BM_WriterSyncVsAsync(benchmark::State& state) {
-  // Single-segment capture through the real writer stack with O_DIRECT
-  // (so the device genuinely blocks): Arg(0) = synchronous, Arg(1) =
-  // double-buffered async I/O thread.
-  CheckpointWriterOptions options;
-  options.async_io = state.range(0) != 0;
-  options.direct_io = true;
-  // One sealed block == one device write (the direct-I/O stage is
-  // 1 MiB): the capture thread can run a full write ahead instead of
-  // stalling a quarter of the way into the next block.
-  options.block_bytes = 1 << 20;
-  std::string value(1000, 'v');
-  constexpr uint64_t kEntries = 16000;
-  std::string path = "/tmp/calcdb_bench_writer";
-  for (auto _ : state) {
-    CheckpointFileWriter writer;
-    writer.Open(path, CheckpointType::kFull, 1, 0, options).ok();
-    for (uint64_t k = 0; k < kEntries; ++k) {
-      writer.Append(k, value).ok();
-    }
-    writer.Finish().ok();
-  }
-  state.SetBytesProcessed(
-      state.iterations() *
-      static_cast<int64_t>(kEntries * (value.size() + 13)));
-  state.SetLabel(options.async_io ? "writer_async" : "writer_sync");
-  std::remove(path.c_str());
-}
-BENCHMARK(BM_WriterSyncVsAsync)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -341,38 +308,6 @@ uint32_t Crc32cBulk(const void* data, size_t n, uint32_t seed) {
   return Crc32c(data, n, seed);
 }
 
-double MeasureWriterMbps(bool async_io, const std::string& dir) {
-  CheckpointWriterOptions options;
-  options.async_io = async_io;
-  // O_DIRECT: writes genuinely block on the device, which is what the
-  // async I/O thread exists to overlap. Blocks sized to the direct-I/O
-  // stage so each handoff is exactly one device write.
-  options.direct_io = true;
-  options.block_bytes = 1 << 20;
-  std::string value(1000, 'v');
-  constexpr uint64_t kEntries = 48000;  // ~48 MB per pass
-  const double payload_mb =
-      static_cast<double>(kEntries * (value.size() + 13)) / 1e6;
-  std::string path =
-      dir + (async_io ? "/fastpath_async" : "/fastpath_sync");
-  double best_s = 1e30;
-  for (int pass = 0; pass < 3; ++pass) {
-    CheckpointFileWriter writer;
-    Stopwatch sw;
-    if (!writer.Open(path, CheckpointType::kFull, 1, 0, options).ok()) {
-      return 0;
-    }
-    for (uint64_t k = 0; k < kEntries; ++k) {
-      writer.Append(k, value).ok();
-    }
-    if (!writer.Finish().ok()) return 0;
-    double s = sw.ElapsedSeconds();
-    if (s < best_s) best_s = s;
-  }
-  std::remove(path.c_str());
-  return payload_mb / best_s;
-}
-
 void EmitIoFastpathJson(const bench::Flags& flags) {
   std::string json_path =
       flags.Str("json_out", "BENCH_io_fastpath.json");
@@ -383,11 +318,6 @@ void EmitIoFastpathJson(const bench::Flags& flags) {
   double slice8_mbps = MeasureCrcMbps(&Crc32Bulk, buf);
   bool hw = Crc32cHardwareAvailable();
   double hw_mbps = hw ? MeasureCrcMbps(&Crc32cBulk, buf) : 0;
-
-  std::string dir = bench::MakeScratchDir("io_fastpath");
-  double sync_mbps = MeasureWriterMbps(/*async_io=*/false, dir);
-  double async_mbps = MeasureWriterMbps(/*async_io=*/true, dir);
-  bench::RemoveDir(dir);
 
   std::FILE* jf = std::fopen(json_path.c_str(), "w");
   if (jf == nullptr) {
@@ -409,22 +339,12 @@ void EmitIoFastpathJson(const bench::Flags& flags) {
                "\"mb_per_s\": %.1f, \"speedup_vs_baseline\": %.2f}\n",
                hw ? "true" : "false", hw_mbps,
                base_mbps > 0 ? hw_mbps / base_mbps : 0);
-  std::fprintf(jf, "  ],\n  \"writer\": [\n");
-  std::fprintf(jf,
-               "    {\"row\": \"writer_sync\", \"mb_per_s\": %.1f},\n",
-               sync_mbps);
-  std::fprintf(jf,
-               "    {\"row\": \"writer_async\", \"mb_per_s\": %.1f, "
-               "\"speedup_vs_sync\": %.2f}\n",
-               async_mbps, sync_mbps > 0 ? async_mbps / sync_mbps : 0);
   std::fprintf(jf, "  ]\n}\n");
   std::fclose(jf);
-  std::printf("io fastpath json: %s (crc slice8 %.1fx, hw %.1fx; "
-              "writer async %.2fx)\n",
+  std::printf("io fastpath json: %s (crc slice8 %.1fx, hw %.1fx)\n",
               json_path.c_str(),
               base_mbps > 0 ? slice8_mbps / base_mbps : 0,
-              base_mbps > 0 ? hw_mbps / base_mbps : 0,
-              sync_mbps > 0 ? async_mbps / sync_mbps : 0);
+              base_mbps > 0 ? hw_mbps / base_mbps : 0);
 }
 
 }  // namespace calcdb

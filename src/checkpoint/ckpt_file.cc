@@ -1,8 +1,6 @@
 #include "checkpoint/ckpt_file.h"
 
 #include <cstring>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "obs/obs.h"
@@ -19,13 +17,13 @@ constexpr uint64_t kFooterKey = ~uint64_t{0};
 constexpr uint8_t kFooterFlags = 0xFF;
 constexpr uint8_t kTombstoneFlag = 0x01;
 
-}  // namespace
+// Serialization block size: entries accumulate in an in-memory block
+// until it reaches this size, then the whole block goes to the file as
+// one append (one token charge + one write instead of four per record).
+// Never changes the byte stream, only the append granularity.
+constexpr size_t kBlockBytes = 256 * 1024;
 
-CheckpointFileWriter::~CheckpointFileWriter() {
-  // Error paths may drop the writer without Finish(); the I/O thread must
-  // be joined before writer_ (and the blocks it reads) are destroyed.
-  StopAsync();
-}
+}  // namespace
 
 Status CheckpointFileWriter::Open(const std::string& path,
                                   CheckpointType type, uint64_t id,
@@ -51,29 +49,18 @@ Status CheckpointFileWriter::Open(const std::string& path,
                                   CheckpointType type, uint64_t id,
                                   uint64_t vpoc_lsn,
                                   CheckpointWriterOptions options) {
-  WriterOpenOptions file_options;
-  file_options.budget = options.budget;
-  file_options.direct_io = options.direct_io;
-  CALCDB_RETURN_NOT_OK(writer_.Open(path, std::move(file_options)));
-  options_ = std::move(options);
-  if (options_.block_bytes == 0) options_.block_bytes = 256 * 1024;
+  CALCDB_RETURN_NOT_OK(writer_.Open(path, std::move(options.budget)));
+  checksum_ = options.checksum;
   count_ = 0;
   crc_ = 0;
   bytes_out_ = 0;
   block_.clear();
-  block_.reserve(options_.block_bytes);
-  if (options_.async_io) {
-    has_pending_ = false;
-    stop_ = false;
-    io_status_ = Status::OK();
-    pending_.clear();
-    io_thread_ = std::thread(&CheckpointFileWriter::IoThreadMain, this);
-  }
+  block_.reserve(kBlockBytes);
   // A crash here leaves an empty (headerless) file: recovery must reject
   // it as torn, not corrupt.
   CALCDB_FAULT_POINT("ckpt_file.header");
   block_.append(kMagic, sizeof(kMagic));
-  uint32_t version = options_.checksum == ChecksumKind::kCrc32c
+  uint32_t version = checksum_ == ChecksumKind::kCrc32c
                          ? kVersionCrc32c
                          : kVersionCrc32;
   block_.append(reinterpret_cast<const char*>(&version), sizeof(version));
@@ -82,77 +69,22 @@ Status CheckpointFileWriter::Open(const std::string& path,
   block_.append(reinterpret_cast<const char*>(&id), sizeof(id));
   block_.append(reinterpret_cast<const char*>(&vpoc_lsn),
                 sizeof(vpoc_lsn));
-  if (block_.size() >= options_.block_bytes) return SealBlock();
+  if (block_.size() >= kBlockBytes) return SealBlock();
   return Status::OK();
-}
-
-Status CheckpointFileWriter::WriteBlock(const std::string& block) {
-  // In async mode this probe fires on the I/O thread: a crash here is a
-  // death mid-drain with the capture thread still serializing, and an
-  // injected error must travel through io_status_ back to Finish().
-  CALCDB_FAULT_POINT("ckpt_file.block");
-  return writer_.Append(block.data(), block.size());
 }
 
 Status CheckpointFileWriter::SealBlock() {
   if (block_.empty()) return Status::OK();
   bytes_out_ += block_.size();
-  if (!options_.async_io) {
-    Status st = WriteBlock(block_);
-    block_.clear();
-    return st;
-  }
-  // Double buffer: wait until the I/O thread has taken the previous
-  // block, then hand over this one. The swapped-in string is a drained
-  // block whose capacity gets reused.
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return !has_pending_ || !io_status_.ok(); });
-  if (!io_status_.ok()) return io_status_;
-  pending_.swap(block_);
-  has_pending_ = true;
-  cv_.notify_all();
+  Status st = CALCDB_FAULT_STATUS("ckpt_file.block");
+  if (st.ok()) st = writer_.Append(block_.data(), block_.size());
   block_.clear();
-  return Status::OK();
-}
-
-void CheckpointFileWriter::IoThreadMain() {
-  std::string local;
-  for (;;) {
-    bool failed;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] { return has_pending_ || stop_; });
-      if (!has_pending_) break;  // stop requested and queue drained
-      local.swap(pending_);
-      has_pending_ = false;
-      failed = !io_status_.ok();
-      cv_.notify_all();
-    }
-    // After the first error, keep consuming (and discarding) blocks so a
-    // capture thread blocked in SealBlock always wakes up.
-    Status st = failed ? Status::OK() : WriteBlock(local);
-    local.clear();
-    if (!st.ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (io_status_.ok()) io_status_ = st;
-      cv_.notify_all();
-    }
-  }
-}
-
-void CheckpointFileWriter::StopAsync() {
-  if (!io_thread_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-    cv_.notify_all();
-  }
-  io_thread_.join();
+  return st;
 }
 
 Status CheckpointFileWriter::BlockAppend(const void* data, size_t n) {
   block_.append(static_cast<const char*>(data), n);
-  if (block_.size() >= options_.block_bytes) return SealBlock();
+  if (block_.size() >= kBlockBytes) return SealBlock();
   return Status::OK();
 }
 
@@ -168,10 +100,10 @@ Status CheckpointFileWriter::Append(uint64_t key, std::string_view value) {
   uint32_t len = static_cast<uint32_t>(value.size());
   block_.append(reinterpret_cast<const char*>(&len), sizeof(len));
   block_.append(value.data(), value.size());
-  crc_ = ChecksumRun(options_.checksum, block_.data() + entry_start,
+  crc_ = ChecksumRun(checksum_, block_.data() + entry_start,
                      block_.size() - entry_start, crc_);
   ++count_;
-  if (block_.size() >= options_.block_bytes) return SealBlock();
+  if (block_.size() >= kBlockBytes) return SealBlock();
   return Status::OK();
 }
 
@@ -181,10 +113,10 @@ Status CheckpointFileWriter::AppendTombstone(uint64_t key) {
   block_.append(reinterpret_cast<const char*>(&key), sizeof(key));
   uint8_t flags = kTombstoneFlag;
   block_.append(reinterpret_cast<const char*>(&flags), sizeof(flags));
-  crc_ = ChecksumRun(options_.checksum, block_.data() + entry_start,
+  crc_ = ChecksumRun(checksum_, block_.data() + entry_start,
                      block_.size() - entry_start, crc_);
   ++count_;
-  if (block_.size() >= options_.block_bytes) return SealBlock();
+  if (block_.size() >= kBlockBytes) return SealBlock();
   return Status::OK();
 }
 
@@ -199,11 +131,6 @@ Status CheckpointFileWriter::Finish() {
   CALCDB_RETURN_NOT_OK(BlockAppend(&count_, sizeof(count_)));
   CALCDB_RETURN_NOT_OK(BlockAppend(&crc_, sizeof(crc_)));
   Status st = SealBlock();
-  if (options_.async_io) {
-    StopAsync();
-    // The join above orders io_status_ before this read.
-    if (st.ok()) st = io_status_;
-  }
   if (!st.ok()) {
     // calcdb-status-ignored: the first error wins; Close here is cleanup
     // of a checkpoint that will be discarded.
@@ -214,9 +141,8 @@ Status CheckpointFileWriter::Finish() {
   return writer_.Close();
 }
 
-Status CheckpointFileReader::Open(const std::string& path,
-                                  size_t read_ahead_bytes) {
-  CALCDB_RETURN_NOT_OK(reader_.Open(path, read_ahead_bytes));
+Status CheckpointFileReader::Open(const std::string& path) {
+  CALCDB_RETURN_NOT_OK(reader_.Open(path));
   path_ = path;
   char magic[8];
   CALCDB_RETURN_NOT_OK(reader_.ReadExact(magic, sizeof(magic)));

@@ -1,14 +1,11 @@
 #ifndef CALCDB_CHECKPOINT_CKPT_FILE_H_
 #define CALCDB_CHECKPOINT_CKPT_FILE_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 
 #include "util/crc32.h"
 #include "util/status.h"
@@ -43,43 +40,25 @@ struct CheckpointEntry {
   std::string value;
 };
 
-/// How a CheckpointFileWriter serializes and ships blocks. The default
-/// configuration reproduces the seed behavior bit-for-bit: synchronous
-/// writes, CRC-32 (format v1), 256 KiB serialization blocks (the block
-/// size never changes the byte stream, only the append granularity).
+/// How a CheckpointFileWriter ships and checksums its blocks. The
+/// default writes format v1 (CRC-32), the engine's on-disk format.
 struct CheckpointWriterOptions {
   /// Shared bandwidth budget; null means unthrottled.
   std::shared_ptr<TokenBucket> budget;
-
-  /// Serialization block size: entries accumulate in an in-memory block
-  /// until it reaches this size, then the whole block goes to the file
-  /// as one append (one token charge + one write instead of four per
-  /// record).
-  size_t block_bytes = 256 * 1024;
-
-  /// Run file I/O on a dedicated thread with two blocks in flight: the
-  /// capture thread serializes into one while the I/O thread drains the
-  /// other through the token bucket. Errors surface from Append/Finish.
-  bool async_io = false;
-
-  /// Open the underlying file with O_DIRECT (see WriterOpenOptions) so
-  /// block writes genuinely block in the device — what the async mode
-  /// overlaps against on machines where buffered writes never stall.
-  bool direct_io = false;
 
   /// kCrc32 writes format v1 (seed-compatible); kCrc32c writes v2.
   ChecksumKind checksum = ChecksumKind::kCrc32;
 };
 
-/// Sequential checkpoint writer. Entries are serialized into large blocks
-/// and checksummed with one bulk CRC per entry; blocks flow through a
-/// bandwidth-throttled file (see ThrottledFileWriter) so checkpoint
-/// capture is disk-bandwidth-bound, as in the paper's testbed —
-/// optionally on a dedicated I/O thread (CheckpointWriterOptions).
+/// Sequential checkpoint writer. Entries are serialized into 256 KiB
+/// in-memory blocks and checksummed with one bulk CRC per entry; each
+/// full block goes to a bandwidth-throttled file (see
+/// ThrottledFileWriter) as one append, on the caller's thread, so
+/// checkpoint capture is disk-bandwidth-bound, as in the paper's testbed
+/// ("the recording of a checkpoint is limited by disk bandwidth").
 class CheckpointFileWriter {
  public:
   CheckpointFileWriter() = default;
-  ~CheckpointFileWriter();
   CheckpointFileWriter(const CheckpointFileWriter&) = delete;
   CheckpointFileWriter& operator=(const CheckpointFileWriter&) = delete;
 
@@ -102,48 +81,30 @@ class CheckpointFileWriter {
   [[nodiscard]] Status Append(uint64_t key, std::string_view value);
   [[nodiscard]] Status AppendTombstone(uint64_t key);
 
-  /// Writes the footer, drains outstanding blocks (joining the I/O
-  /// thread in async mode — any error it hit surfaces here), fsyncs and
-  /// closes. The checkpoint is durable and loadable only after Finish
-  /// succeeds — a crash mid-write leaves a file the reader rejects.
+  /// Writes the footer and the last block, fsyncs and closes. The
+  /// checkpoint is durable and loadable only after Finish succeeds — a
+  /// crash mid-write leaves a file the reader rejects.
   [[nodiscard]] Status Finish();
 
   uint64_t entries_written() const { return count_; }
 
-  /// Logical bytes serialized so far (equals the file size once Finish
-  /// returns). Tracked on the capture side, so safe to read while an
-  /// async I/O thread is writing.
+  /// Bytes serialized so far (equals the file size once Finish
+  /// returns).
   uint64_t bytes_written() const { return bytes_out_ + block_.size(); }
 
  private:
-  // Fires the ckpt_file.block probe and writes one sealed block to the
-  // file. Runs on the I/O thread in async mode.
-  [[nodiscard]] Status WriteBlock(const std::string& block);
-  // Hands the filled block_ to the file (sync) or the I/O thread
-  // (async), leaving block_ empty with capacity.
+  // Fires the ckpt_file.block probe, writes the filled block_ to the
+  // file and leaves block_ empty with capacity.
   [[nodiscard]] Status SealBlock();
   // Serializer: appends raw bytes to block_, sealing when it fills.
   [[nodiscard]] Status BlockAppend(const void* data, size_t n);
-  // Signals the I/O thread to finish and joins it (idempotent).
-  void StopAsync();
-
-  void IoThreadMain();
 
   ThrottledFileWriter writer_;
-  CheckpointWriterOptions options_;
+  ChecksumKind checksum_ = ChecksumKind::kCrc32;
   uint64_t count_ = 0;
   uint32_t crc_ = 0;
-  std::string block_;       // capture-side block being filled
+  std::string block_;       // block being filled
   uint64_t bytes_out_ = 0;  // bytes sealed out of block_
-
-  // Async state: all fields below mu_ are shared with the I/O thread.
-  std::thread io_thread_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::string pending_;  // sealed block awaiting write ("" when idle)
-  bool has_pending_ = false;
-  bool stop_ = false;
-  Status io_status_;  // first I/O-thread error, surfaced by Finish
 };
 
 /// Sequential checkpoint reader; validates the footer checksum with the
@@ -154,11 +115,9 @@ class CheckpointFileReader {
   CheckpointFileReader(const CheckpointFileReader&) = delete;
   CheckpointFileReader& operator=(const CheckpointFileReader&) = delete;
 
-  /// A nonzero `read_ahead_bytes` sizes the underlying read-ahead buffer
-  /// so entry scans issue large sequential read(2) calls instead of one
-  /// syscall per BUFSIZ (see SequentialFileReader::Open).
-  [[nodiscard]] Status Open(const std::string& path,
-                            size_t read_ahead_bytes = 0);
+  /// Opens `path` and reads its header. Entry scans go through
+  /// SequentialFileReader's read-ahead buffer.
+  [[nodiscard]] Status Open(const std::string& path);
 
   CheckpointType type() const { return type_; }
   uint64_t id() const { return id_; }

@@ -196,6 +196,13 @@ Status CheckpointStorage::LoadManifest() {
       std::fclose(f);
       return Status::Corruption("bad manifest line");
     }
+    // ChainFrom treats every non-full type as a partial, so an unknown
+    // type would silently join the recovery chain.
+    if (type != static_cast<unsigned>(CheckpointType::kFull) &&
+        type != static_cast<unsigned>(CheckpointType::kPartial)) {
+      std::fclose(f);
+      return Status::Corruption("bad manifest checkpoint type");
+    }
     // Optional segmented-checkpoint suffix: segment count + paths.
     size_t nsegs = 0;
     if (in >> nsegs) {

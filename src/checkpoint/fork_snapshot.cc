@@ -224,8 +224,7 @@ Status ForkSnapshotCheckpointer::RunCheckpointCycle() {
 
   // Entry count lives in the file; read it back for the manifest.
   CheckpointFileReader reader;
-  CALCDB_RETURN_NOT_OK(
-      reader.Open(path, engine_.ckpt_storage->read_ahead_bytes()));
+  CALCDB_RETURN_NOT_OK(reader.Open(path));
   uint64_t entries = 0;
   CALCDB_RETURN_NOT_OK(reader.ReadAll(
       [&](const CheckpointEntry&) -> Status {

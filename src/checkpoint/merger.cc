@@ -34,8 +34,7 @@ Status CheckpointMerger::CollapseOnce(size_t max_partials,
     // chain.
     for (const std::string& file : info.files()) {
       CheckpointFileReader reader;
-      CALCDB_RETURN_NOT_OK(
-          reader.Open(file, storage_->read_ahead_bytes()));
+      CALCDB_RETURN_NOT_OK(reader.Open(file));
       CALCDB_RETURN_NOT_OK(
           reader.ReadAll([&](const CheckpointEntry& entry) -> Status {
             if (entry.tombstone) {
@@ -94,8 +93,13 @@ void CheckpointMerger::StartBackground(size_t trigger_batch, int poll_ms) {
       std::vector<CheckpointInfo> chain = storage_->RecoveryChain();
       if (chain.size() >= trigger_batch + 1) {
         bool did_merge = false;
-        // Best effort: errors leave the inputs intact for the next try.
-        CollapseOnce(trigger_batch, &did_merge).ok();
+        // A failed collapse leaves the inputs intact for the next try,
+        // but the failure must not go unseen.
+        Status st = CollapseOnce(trigger_batch, &did_merge);
+        if (!st.ok()) {
+          CALCDB_COUNTER_ADD("calcdb.ckpt.merge_failures", 1);
+          CALCDB_WARN("merge.failed", "ckpt", st.ToString());
+        }
       }
       SleepMicros(static_cast<int64_t>(poll_ms) * 1000);
     }

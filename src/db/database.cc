@@ -87,6 +87,16 @@ bool ParseAlgorithm(const std::string& name, CheckpointAlgorithm* out) {
 
 namespace {
 
+// Lock-table stripes for the deadlock-free 2PL lock manager. With more
+// than one storage shard the stripes split into per-shard arrays of
+// roughly kLockStripes / shards each (floored at 64).
+constexpr size_t kLockStripes = 1 << 16;
+
+// Checkpoint-stall watchdog (obs/health.h): with periodic checkpoints
+// running, GetHealth() reports a stall when no cycle has completed
+// within this many configured intervals.
+constexpr double kHealthStallMultiplier = 3.0;
+
 // Resolves a 0 = "auto" thread-count option: the environment variable if
 // set to a positive integer, else `fallback`. Lets CI sweep parallel
 // capture/recovery across the existing test suite without touching every
@@ -123,11 +133,7 @@ uint32_t Database::ResolvedStorageShards(const Options& options) {
   return ShardedStore::ResolveShards(options.storage_shards);
 }
 
-bool Database::ResolvedAsyncIo(const Options& options) {
-  if (options.ckpt_async_io != 0) return options.ckpt_async_io > 0;
-  const char* env = std::getenv("CALCDB_CKPT_ASYNC_IO");
-  return env != nullptr && std::atoi(env) > 0;
-}
+bool Database::ResolvedAsyncIo(const Options&) { return false; }
 
 Database::Database(const Options& options)
     : options_(options),
@@ -135,15 +141,7 @@ Database::Database(const Options& options)
       store_(new ShardedStore(options.max_records,
                               ResolvedStorageShards(options), pool_.get())),
       ckpt_storage_(options.checkpoint_dir, options.disk_bytes_per_sec),
-      lock_manager_(options.lock_stripes, store_->num_shards()) {
-  CheckpointWriterOptions writer_options;
-  writer_options.block_bytes = options.ckpt_block_bytes;
-  writer_options.async_io = ResolvedAsyncIo(options);
-  writer_options.direct_io = options.ckpt_direct_io;
-  writer_options.checksum = options.ckpt_checksum;
-  ckpt_storage_.ConfigureWriters(std::move(writer_options));
-  ckpt_storage_.ConfigureReaders(options.ckpt_read_ahead_bytes);
-}
+      lock_manager_(kLockStripes, store_->num_shards()) {}
 
 Database::~Database() {
   // calcdb-status-ignored: destructor has no error channel; callers that
@@ -261,7 +259,7 @@ Status Database::RecoverFromCommandLog(RecoveryStats* stats) {
       options_.command_log_path, &generations));
   return RecoveryManager::ReplayLogGenerations(
       generations, registry_, store_.get(), s,
-      ResolvedReplayThreads(options_), options_.log_read_ahead_bytes);
+      ResolvedReplayThreads(options_));
 }
 
 Status Database::WriteBaseCheckpoint() {
@@ -428,7 +426,7 @@ void Database::ConfigureHealthMonitor() {
   };
   sources.checkpoint_interval_us =
       periodic_interval_us_.load(std::memory_order_relaxed);
-  sources.stall_multiplier = options_.health_stall_multiplier;
+  sources.stall_multiplier = kHealthStallMultiplier;
   if (streamer_ != nullptr) {
     sources.committed_lsn = [this] {
       return static_cast<int64_t>(log_.Size());
@@ -458,7 +456,7 @@ Status Database::StartPeriodicCheckpoints(int interval_ms) {
     return Status::InvalidArgument("periodic checkpoints already running");
   }
   // Arm the stall watchdog: GetHealth() flags a stall once no cycle
-  // completes within health_stall_multiplier × this interval.
+  // completes within kHealthStallMultiplier × this interval.
   periodic_interval_us_.store(static_cast<int64_t>(interval_ms) * 1000,
                               std::memory_order_relaxed);
   ConfigureHealthMonitor();

@@ -108,10 +108,10 @@ class Database {
 
   /// Point-in-time health report (obs/health.h): folds BackgroundStatus,
   /// the checkpoint-stall watchdog (periodic cycles must advance within
-  /// Options::health_stall_multiplier × the configured interval),
-  /// log-durability lag, and obs ring-drop accounting. StatsReporter
-  /// embeds the same report in its periodic JSONL. Valid between
-  /// Start() and Shutdown(); before Start() it reports healthy.
+  /// three configured intervals), log-durability lag, and obs ring-drop
+  /// accounting. StatsReporter embeds the same report in its periodic
+  /// JSONL. Valid between Start() and Shutdown(); before Start() it
+  /// reports healthy.
   obs::HealthReport GetHealth() { return health_monitor_.Check(); }
 
   /// Transactionally-consistent point read through the checkpointer's
@@ -154,9 +154,8 @@ class Database {
   /// (CALCDB_STORAGE_SHARDS environment variable, else 1).
   static uint32_t ResolvedStorageShards(const Options& options);
 
-  /// Resolves Options::ckpt_async_io, applying the 0 = auto rule (on iff
-  /// the CALCDB_CKPT_ASYNC_IO environment variable is a positive
-  /// integer).
+  /// Always false: checkpoint writers run synchronously on the capture
+  /// thread. Kept for callers that report the effective configuration.
   static bool ResolvedAsyncIo(const Options& options);
 
  private:

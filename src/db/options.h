@@ -6,7 +6,6 @@
 #include <string>
 
 #include "checkpoint/dirty_tracker.h"
-#include "util/crc32.h"
 
 namespace calcdb {
 
@@ -62,11 +61,6 @@ struct Options {
   /// the CALCDB_STORAGE_SHARDS environment variable if set, else 1.
   int storage_shards = 0;
 
-  /// Lock-table stripes for the deadlock-free 2PL lock manager. With
-  /// storage_shards > 1 the stripes split into per-shard arrays of
-  /// roughly lock_stripes / storage_shards each (floored at 64).
-  size_t lock_stripes = 1 << 16;
-
   /// Checkpoint capture worker threads, for every algorithm but fork:
   /// at most this many segment writers run at once, never more than
   /// storage_shards (a single-shard store always writes one file with
@@ -74,37 +68,6 @@ struct Options {
   /// rate stays capped by `disk_bytes_per_sec`. 0 means auto: the
   /// CALCDB_CAPTURE_THREADS environment variable if set, else 1.
   int capture_threads = 0;
-
-  /// Checkpoint-writer serialization block size: entries accumulate into
-  /// blocks of this size before hitting the file (one token charge + one
-  /// write per block instead of four per record). Never changes the
-  /// on-disk byte stream, only the append granularity. 0 keeps the
-  /// default (256 KiB).
-  size_t ckpt_block_bytes = 256 * 1024;
-
-  /// Async double-buffered checkpoint I/O: each checkpoint writer gets a
-  /// dedicated I/O thread, so capture serializes block N+1 while block N
-  /// drains to disk. 0 means auto: on iff the CALCDB_CKPT_ASYNC_IO
-  /// environment variable is a positive integer; > 0 forces on, < 0
-  /// forces off.
-  int ckpt_async_io = 0;
-
-  /// Open checkpoint files with O_DIRECT so block writes bypass the page
-  /// cache and genuinely block in the device — the mode where async I/O
-  /// pays off even on few cores (buffered writes rarely stall). Falls
-  /// back to buffered I/O on filesystems without O_DIRECT.
-  bool ckpt_direct_io = false;
-
-  /// Checksum for newly written checkpoint files. kCrc32 writes format
-  /// v1 (seed-compatible bytes); kCrc32c writes format v2 and uses the
-  /// hardware CRC instruction where the CPU has one. Readers accept both
-  /// regardless of this setting.
-  ChecksumKind ckpt_checksum = ChecksumKind::kCrc32;
-
-  /// Read-ahead buffer for checkpoint readers (recovery, merger): entry
-  /// scans issue one read(2) per this many bytes instead of one per
-  /// libc BUFSIZ. 0 keeps the libc default buffer.
-  size_t ckpt_read_ahead_bytes = 1 << 20;
 
   /// Recovery checkpoint-load worker threads. Segments of one checkpoint
   /// are loaded concurrently (they hold disjoint keys); checkpoints still
@@ -120,11 +83,6 @@ struct Options {
   /// strictly-serial replay loop. 0 means auto: the
   /// CALCDB_REPLAY_THREADS environment variable if set, else 1.
   int replay_threads = 0;
-
-  /// Read-ahead buffer for command-log generation decode during
-  /// recovery (same SequentialFileReader mechanism as
-  /// ckpt_read_ahead_bytes). 0 keeps the libc default buffer.
-  size_t log_read_ahead_bytes = 1 << 20;
 
   /// Pre-allocate/recycle stable-record memory from a pool (paper §5.1.6).
   bool use_value_pool = true;
@@ -160,12 +118,6 @@ struct Options {
   /// keeps events in the in-memory ring only; benches export the ring
   /// at exit via --events_out.
   std::string events_path;
-
-  /// Checkpoint-stall watchdog (obs/health.h): with periodic
-  /// checkpoints running, Database::GetHealth() reports a stall when no
-  /// cycle has completed within `health_stall_multiplier` × the
-  /// configured interval.
-  double health_stall_multiplier = 3.0;
 };
 
 }  // namespace calcdb

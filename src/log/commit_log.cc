@@ -368,10 +368,9 @@ Status CommitLog::PersistTo(const std::string& path) const {
   return writer.Close();
 }
 
-Status CommitLog::LoadFrom(const std::string& path,
-                           size_t read_ahead_bytes) {
+Status CommitLog::LoadFrom(const std::string& path) {
   SequentialFileReader reader;
-  CALCDB_RETURN_NOT_OK(reader.Open(path, read_ahead_bytes));
+  CALCDB_RETURN_NOT_OK(reader.Open(path));
   // Frames are read straight into a fresh log's segments and validated
   // in place; the result replaces this log's contents only on success.
   CommitLog loaded;

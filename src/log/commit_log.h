@@ -164,13 +164,9 @@ class CommitLog {
   [[nodiscard]] Status PersistTo(const std::string& path) const;
 
   /// Loads entries from a file previously written by PersistTo (or
-  /// streamed by CommandLogStreamer), replacing current contents. A
-  /// nonzero `read_ahead_bytes` sizes the decoder's read-ahead buffer
-  /// (SequentialFileReader) so generation decode during recovery issues
-  /// one read(2) per buffer instead of one per BUFSIZ; 0 keeps the libc
-  /// default.
-  [[nodiscard]] Status LoadFrom(const std::string& path,
-                                size_t read_ahead_bytes = 0);
+  /// streamed by CommandLogStreamer), replacing current contents.
+  /// Decode reads through SequentialFileReader's read-ahead buffer.
+  [[nodiscard]] Status LoadFrom(const std::string& path);
 
   // ------------------------------------------------------------------
   // Streamer interface.

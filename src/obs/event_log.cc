@@ -12,19 +12,6 @@
 namespace calcdb {
 namespace obs {
 
-namespace {
-
-// Same scheme as Tracer::CurrentTid: small dense ids assigned in first-
-// emit order, stable per thread.
-uint32_t CurrentTid() {
-  static std::atomic<uint32_t> next_tid{1};
-  thread_local uint32_t tid =
-      next_tid.fetch_add(1, std::memory_order_relaxed);
-  return tid;
-}
-
-}  // namespace
-
 const char* SeverityName(Severity severity) {
   switch (severity) {
     case Severity::kInfo:
@@ -35,87 +22,6 @@ const char* SeverityName(Severity severity) {
       return "ERROR";
   }
   return "INFO";
-}
-
-EventRing::EventRing(size_t capacity) {
-  size_t cap = 2;
-  while (cap < capacity) cap <<= 1;
-  capacity_ = cap;
-  slots_ = new Slot[capacity_];
-}
-
-EventRing::~EventRing() { delete[] slots_; }
-
-void EventRing::Emit(const Event& ev) {
-  uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[ticket & (capacity_ - 1)];
-  // Seqlock write: odd marks the slot in flux; the final even value
-  // encodes the ticket generation so a reader can tell a stable slot
-  // from one that wrapped underneath it. Release on both stores pairs
-  // with the reader's acquire loads.
-  slot.seq.store(2 * ticket + 1, std::memory_order_release);
-  slot.severity.store(static_cast<uint8_t>(ev.severity),
-                      std::memory_order_relaxed);
-  slot.name.store(ev.name, std::memory_order_relaxed);
-  slot.cat.store(ev.cat, std::memory_order_relaxed);
-  slot.ts_us.store(ev.ts_us, std::memory_order_relaxed);
-  slot.tid.store(ev.tid, std::memory_order_relaxed);
-  slot.suppressed.store(ev.suppressed, std::memory_order_relaxed);
-  int n = std::min(ev.n_fields, Event::kMaxFields);
-  slot.n_fields.store(n, std::memory_order_relaxed);
-  for (int i = 0; i < n; ++i) {
-    slot.keys[i].store(ev.fields[i].key, std::memory_order_relaxed);
-    slot.values[i].store(ev.fields[i].value, std::memory_order_relaxed);
-  }
-  for (size_t i = 0; i < Event::kDetailBytes; ++i) {
-    slot.detail[i].store(ev.detail[i], std::memory_order_relaxed);
-    if (ev.detail[i] == '\0') break;
-  }
-  slot.seq.store(2 * ticket + 2, std::memory_order_release);
-}
-
-std::vector<Event> EventRing::Snapshot() const {
-  std::vector<Event> out;
-  out.reserve(capacity_);
-  for (size_t i = 0; i < capacity_; ++i) {
-    const Slot& slot = slots_[i];
-    uint64_t s1 = slot.seq.load(std::memory_order_acquire);
-    if (s1 == 0 || (s1 & 1) != 0) continue;  // empty or mid-write
-    Event ev;
-    ev.severity =
-        static_cast<Severity>(slot.severity.load(std::memory_order_relaxed));
-    ev.name = slot.name.load(std::memory_order_relaxed);
-    ev.cat = slot.cat.load(std::memory_order_relaxed);
-    ev.ts_us = slot.ts_us.load(std::memory_order_relaxed);
-    ev.tid = slot.tid.load(std::memory_order_relaxed);
-    ev.suppressed = slot.suppressed.load(std::memory_order_relaxed);
-    int n = slot.n_fields.load(std::memory_order_relaxed);
-    ev.n_fields = std::clamp(n, 0, Event::kMaxFields);
-    for (int f = 0; f < ev.n_fields; ++f) {
-      ev.fields[f].key = slot.keys[f].load(std::memory_order_relaxed);
-      ev.fields[f].value = slot.values[f].load(std::memory_order_relaxed);
-    }
-    for (size_t b = 0; b < Event::kDetailBytes; ++b) {
-      ev.detail[b] = slot.detail[b].load(std::memory_order_relaxed);
-      if (ev.detail[b] == '\0') break;
-    }
-    ev.detail[Event::kDetailBytes - 1] = '\0';
-    uint64_t s2 = slot.seq.load(std::memory_order_acquire);
-    if (s1 != s2 || ev.name == nullptr) continue;  // wrapped mid-copy
-    out.push_back(ev);
-  }
-  std::sort(out.begin(), out.end(), [](const Event& a, const Event& b) {
-    return a.ts_us < b.ts_us;
-  });
-  return out;
-}
-
-void EventRing::Reset() {
-  for (size_t i = 0; i < capacity_; ++i) {
-    slots_[i].name.store(nullptr, std::memory_order_relaxed);
-    slots_[i].seq.store(0, std::memory_order_release);
-  }
-  head_.store(0, std::memory_order_relaxed);
 }
 
 bool EventSite::Admit(int64_t now_us, uint64_t* folded) {
@@ -145,7 +51,8 @@ bool EventSite::Admit(int64_t now_us, uint64_t* folded) {
 }
 
 EventLog::EventLog()
-    : stderr_site_(/*burst=*/20, /*refill_per_sec=*/5) {}
+    : ring_(kRingCapacity),
+      stderr_site_(/*burst=*/20, /*refill_per_sec=*/5) {}
 
 EventLog& EventLog::Global() {
   static EventLog* log = new EventLog();

@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/seqlock_ring.h"
 #include "util/latch.h"
 #include "util/thread_annotations.h"
 
@@ -61,67 +62,9 @@ struct Event {
   char detail[kDetailBytes] = {};  // always NUL-terminated
 };
 
-/// A bounded MPSC ring of events — the TraceBuffer seqlock design
-/// (obs/trace.h) with a wider slot: writers claim a ticket with one
-/// relaxed fetch_add and publish with a per-slot seqlock; Snapshot()
-/// drops slots that wrap mid-copy instead of returning torn data.
-/// Every payload field is individually atomic (relaxed) purely so the
-/// benign read/write race is defined behavior.
-class EventRing {
- public:
-  /// `capacity` is rounded up to a power of two, min 2. Events are
-  /// rare (rate-limited cold paths), so the default is small.
-  explicit EventRing(size_t capacity = kDefaultCapacity);
-  EventRing(const EventRing&) = delete;
-  EventRing& operator=(const EventRing&) = delete;
-  ~EventRing();
-
-  static constexpr size_t kDefaultCapacity = 1 << 10;
-
-  void Emit(const Event& ev);
-
-  /// Stable events, oldest first. Events overwritten mid-copy are
-  /// skipped.
-  std::vector<Event> Snapshot() const;
-
-  /// Total events ever emitted into the ring.
-  uint64_t emitted() const {
-    return head_.load(std::memory_order_relaxed);
-  }
-
-  /// Events lost to ring wraparound.
-  uint64_t dropped() const {
-    uint64_t e = emitted();
-    return e > capacity_ ? e - capacity_ : 0;
-  }
-
-  size_t capacity() const { return capacity_; }
-
-  /// Forgets all events (test affordance; not linearizable against
-  /// concurrent writers).
-  void Reset();
-
- private:
-  struct alignas(64) Slot {
-    // Seqlock: 0 = never written, odd = write in progress,
-    // even > 0 = stable generation.
-    std::atomic<uint64_t> seq{0};
-    std::atomic<uint8_t> severity{0};
-    std::atomic<const char*> name{nullptr};
-    std::atomic<const char*> cat{nullptr};
-    std::atomic<int64_t> ts_us{0};
-    std::atomic<uint32_t> tid{0};
-    std::atomic<uint64_t> suppressed{0};
-    std::atomic<int32_t> n_fields{0};
-    std::atomic<const char*> keys[Event::kMaxFields] = {};
-    std::atomic<int64_t> values[Event::kMaxFields] = {};
-    std::atomic<char> detail[Event::kDetailBytes] = {};
-  };
-
-  size_t capacity_;  // power of two
-  Slot* slots_;
-  std::atomic<uint64_t> head_{0};
-};
+/// The bounded MPSC seqlock ring of events (obs/seqlock_ring.h). Events
+/// are rare (rate-limited cold paths), so EventLog's ring is small.
+using EventRing = SeqlockRing<Event>;
 
 /// Per-site token bucket: at most `burst` events back to back, then
 /// `refill_per_sec` per second sustained. The CALCDB_EVENT-family
@@ -168,6 +111,9 @@ class EventLog {
   /// Default per-site token bucket used by the macros.
   static constexpr uint32_t kDefaultBurst = 16;
   static constexpr uint32_t kDefaultRefillPerSec = 4;
+
+  /// Slots in the global event ring.
+  static constexpr size_t kRingCapacity = 1 << 10;
 
   void SetEnabled(bool on) {
     enabled_.store(on, std::memory_order_relaxed);

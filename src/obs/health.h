@@ -68,7 +68,7 @@ class HealthMonitor {
     std::function<uint64_t()> checkpoint_cycles;
     int64_t checkpoint_interval_us = 0;
     /// A cycle is stalled after stall_multiplier × interval without
-    /// progress (Options::health_stall_multiplier).
+    /// progress (Database uses the default, 3).
     double stall_multiplier = 3.0;
     /// Committed / durable log LSNs; both null means "no streamer".
     std::function<int64_t()> committed_lsn;

@@ -1,7 +1,5 @@
 #include "obs/trace.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 
@@ -10,67 +8,6 @@
 
 namespace calcdb {
 namespace obs {
-
-TraceBuffer::TraceBuffer(size_t capacity) {
-  size_t cap = 2;
-  while (cap < capacity) cap <<= 1;
-  capacity_ = cap;
-  slots_ = new Slot[capacity_];
-}
-
-TraceBuffer::~TraceBuffer() { delete[] slots_; }
-
-void TraceBuffer::Emit(const TraceEvent& ev) {
-  uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[ticket & (capacity_ - 1)];
-  // Seqlock write: odd marks the slot in flux; the final even value
-  // encodes the ticket generation so a reader can tell a stable slot
-  // from one that wrapped underneath it. Release on both stores pairs
-  // with the reader's acquire loads.
-  slot.seq.store(2 * ticket + 1, std::memory_order_release);
-  slot.name.store(ev.name, std::memory_order_relaxed);
-  slot.cat.store(ev.cat, std::memory_order_relaxed);
-  slot.ts_us.store(ev.ts_us, std::memory_order_relaxed);
-  slot.dur_us.store(ev.dur_us, std::memory_order_relaxed);
-  slot.arg.store(ev.arg, std::memory_order_relaxed);
-  slot.tid.store(ev.tid, std::memory_order_relaxed);
-  slot.ph.store(ev.ph, std::memory_order_relaxed);
-  slot.seq.store(2 * ticket + 2, std::memory_order_release);
-}
-
-std::vector<TraceEvent> TraceBuffer::Snapshot() const {
-  std::vector<TraceEvent> out;
-  out.reserve(capacity_);
-  for (size_t i = 0; i < capacity_; ++i) {
-    const Slot& slot = slots_[i];
-    uint64_t s1 = slot.seq.load(std::memory_order_acquire);
-    if (s1 == 0 || (s1 & 1) != 0) continue;  // empty or mid-write
-    TraceEvent ev;
-    ev.name = slot.name.load(std::memory_order_relaxed);
-    ev.cat = slot.cat.load(std::memory_order_relaxed);
-    ev.ts_us = slot.ts_us.load(std::memory_order_relaxed);
-    ev.dur_us = slot.dur_us.load(std::memory_order_relaxed);
-    ev.arg = slot.arg.load(std::memory_order_relaxed);
-    ev.tid = slot.tid.load(std::memory_order_relaxed);
-    ev.ph = slot.ph.load(std::memory_order_relaxed);
-    uint64_t s2 = slot.seq.load(std::memory_order_acquire);
-    if (s1 != s2 || ev.name == nullptr) continue;  // wrapped mid-copy
-    out.push_back(ev);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              return a.ts_us < b.ts_us;
-            });
-  return out;
-}
-
-void TraceBuffer::Reset() {
-  for (size_t i = 0; i < capacity_; ++i) {
-    slots_[i].name.store(nullptr, std::memory_order_relaxed);
-    slots_[i].seq.store(0, std::memory_order_release);
-  }
-  head_.store(0, std::memory_order_relaxed);
-}
 
 std::string TraceBuffer::ToJson(const std::vector<TraceEvent>& events) {
   std::string out = "{\"traceEvents\":[";
@@ -108,13 +45,6 @@ std::string TraceBuffer::ToJson(const std::vector<TraceEvent>& events) {
 Tracer& Tracer::Global() {
   static Tracer* tracer = new Tracer();
   return *tracer;
-}
-
-uint32_t Tracer::CurrentTid() {
-  static std::atomic<uint32_t> next_tid{1};
-  thread_local uint32_t tid =
-      next_tid.fetch_add(1, std::memory_order_relaxed);
-  return tid;
 }
 
 void Tracer::EmitComplete(const char* name, const char* cat,

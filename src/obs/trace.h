@@ -2,9 +2,12 @@
 #define CALCDB_OBS_TRACE_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "obs/seqlock_ring.h"
 
 namespace calcdb {
 namespace obs {
@@ -22,69 +25,17 @@ struct TraceEvent {
   char ph = 'X';  // 'X' complete span, 'i' instant
 };
 
-/// A bounded MPSC ring of trace events.
-///
-/// Writers claim a ticket with one relaxed fetch_add and publish the
-/// slot with a per-slot seqlock (odd while writing, even when stable);
-/// old events are overwritten once the ring wraps. Snapshot() is the
-/// single-consumer side: it walks the ring and keeps slots whose
-/// sequence is stable across the payload copy, so a reader racing a
-/// wrapping writer drops that slot instead of returning torn data.
-/// Every payload field is individually atomic (relaxed) purely so the
-/// benign read/write race is defined behavior.
-class TraceBuffer {
+/// The bounded MPSC seqlock ring of trace events (obs/seqlock_ring.h).
+class TraceBuffer : public SeqlockRing<TraceEvent> {
  public:
-  /// `capacity` is rounded up to a power of two, min 2.
-  explicit TraceBuffer(size_t capacity = kDefaultCapacity);
-  TraceBuffer(const TraceBuffer&) = delete;
-  TraceBuffer& operator=(const TraceBuffer&) = delete;
-  ~TraceBuffer();
-
   static constexpr size_t kDefaultCapacity = 1 << 16;
 
-  void Emit(const TraceEvent& ev);
-
-  /// Stable events, oldest first. Events overwritten mid-copy are
-  /// skipped.
-  std::vector<TraceEvent> Snapshot() const;
-
-  /// Total events ever emitted.
-  uint64_t emitted() const {
-    return head_.load(std::memory_order_relaxed);
-  }
-
-  /// Events lost to ring wraparound.
-  uint64_t dropped() const {
-    uint64_t e = emitted();
-    return e > capacity_ ? e - capacity_ : 0;
-  }
-
-  size_t capacity() const { return capacity_; }
-
-  /// Forgets all events (test affordance; not linearizable against
-  /// concurrent writers).
-  void Reset();
+  /// `capacity` is rounded up to a power of two, min 2.
+  explicit TraceBuffer(size_t capacity = kDefaultCapacity)
+      : SeqlockRing<TraceEvent>(capacity) {}
 
   /// Serializes `events` as Chrome/Perfetto trace_event JSON.
   static std::string ToJson(const std::vector<TraceEvent>& events);
-
- private:
-  struct alignas(64) Slot {
-    // Seqlock: 0 = never written, odd = write in progress,
-    // even > 0 = stable generation.
-    std::atomic<uint64_t> seq{0};
-    std::atomic<const char*> name{nullptr};
-    std::atomic<const char*> cat{nullptr};
-    std::atomic<int64_t> ts_us{0};
-    std::atomic<int64_t> dur_us{0};
-    std::atomic<uint64_t> arg{0};
-    std::atomic<uint32_t> tid{0};
-    std::atomic<char> ph{'X'};
-  };
-
-  size_t capacity_;  // power of two
-  Slot* slots_;
-  std::atomic<uint64_t> head_{0};
 };
 
 /// Process-global tracer: one TraceBuffer plus an enable flag checked
@@ -119,8 +70,6 @@ class Tracer {
 
  private:
   Tracer() = default;
-
-  static uint32_t CurrentTid();
 
   TraceBuffer buffer_;
   std::atomic<bool> enabled_{true};

@@ -55,20 +55,18 @@ Status ForEachFileParallel(
 /// Reads every entry and the footer of one checkpoint file without
 /// applying anything. A short read (IOError) means the file is torn; a
 /// CRC / count mismatch means Corruption.
-Status ValidateCheckpointFile(const std::string& path,
-                              size_t read_ahead_bytes) {
+Status ValidateCheckpointFile(const std::string& path) {
   CheckpointFileReader reader;
-  CALCDB_RETURN_NOT_OK(reader.Open(path, read_ahead_bytes));
+  CALCDB_RETURN_NOT_OK(reader.Open(path));
   return reader.ReadAll(
       [](const CheckpointEntry&) -> Status { return Status::OK(); });
 }
 
 /// Applies one (already validated) checkpoint file into the store.
-Status ApplyCheckpointFile(const std::string& path,
-                           size_t read_ahead_bytes, ShardedStore* store,
+Status ApplyCheckpointFile(const std::string& path, ShardedStore* store,
                            std::atomic<uint64_t>* entries_applied) {
   CheckpointFileReader reader;
-  CALCDB_RETURN_NOT_OK(reader.Open(path, read_ahead_bytes));
+  CALCDB_RETURN_NOT_OK(reader.Open(path));
   uint64_t applied = 0;
   Status st = reader.ReadAll([&](const CheckpointEntry& entry) -> Status {
     ++applied;
@@ -109,11 +107,8 @@ Status RecoveryManager::LoadCheckpoints(CheckpointStorage* storage,
     uint64_t torn_id = 0;
     bool torn = false;
     for (const CheckpointInfo& info : chain) {
-      Status st = ForEachFileParallel(
-          info.files(), load_threads, [&](const std::string& path) {
-            return ValidateCheckpointFile(path,
-                                          storage->read_ahead_bytes());
-          });
+      Status st = ForEachFileParallel(info.files(), load_threads,
+                                      ValidateCheckpointFile);
       if (st.ok()) continue;
       if (st.IsCorruption()) return st;  // damage: fail loudly
       // Short read / missing file: a crash artifact — fall back.
@@ -152,8 +147,7 @@ Status RecoveryManager::LoadCheckpoints(CheckpointStorage* storage,
     std::vector<std::string> files = info.files();
     CALCDB_RETURN_NOT_OK(ForEachFileParallel(
         files, load_threads, [&](const std::string& path) -> Status {
-          return ApplyCheckpointFile(path, storage->read_ahead_bytes(),
-                                     store, &entries_applied);
+          return ApplyCheckpointFile(path, store, &entries_applied);
         }));
     stats->segments_loaded += files.size();
     CALCDB_COUNTER_ADD("calcdb.recovery.segments_loaded", files.size());
@@ -186,8 +180,7 @@ Status RecoveryManager::ReplayLog(const CommitLog& log,
 Status RecoveryManager::ReplayLogGenerations(
     const std::vector<std::string>& files,
     const ProcedureRegistry& registry, ShardedStore* store,
-    RecoveryStats* stats, int replay_threads,
-    size_t log_read_ahead_bytes) {
+    RecoveryStats* stats, int replay_threads) {
   Stopwatch sw;
   // Load every generation up front: a generation that fails to load at
   // all is damage worth surfacing before any replay mutates the store
@@ -196,7 +189,7 @@ Status RecoveryManager::ReplayLogGenerations(
   logs.reserve(files.size());
   for (const std::string& file : files) {
     auto log = std::make_unique<CommitLog>();
-    CALCDB_RETURN_NOT_OK(log->LoadFrom(file, log_read_ahead_bytes));
+    CALCDB_RETURN_NOT_OK(log->LoadFrom(file));
     logs.push_back(std::move(log));
   }
 

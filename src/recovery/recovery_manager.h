@@ -112,15 +112,12 @@ class RecoveryManager {
   ///
   /// `replay_threads` as in ReplayLog; the scheduler drains completely
   /// at every generation boundary, so the anchor rule composes with
-  /// parallel replay unchanged. `log_read_ahead_bytes` sizes the
-  /// generation decoder's read-ahead buffer (0: libc default). Fills
-  /// stats->generations with the per-generation replayed/skipped
-  /// breakdown.
+  /// parallel replay unchanged. Fills stats->generations with the
+  /// per-generation replayed/skipped breakdown.
   [[nodiscard]] static Status ReplayLogGenerations(
       const std::vector<std::string>& files,
       const ProcedureRegistry& registry, ShardedStore* store,
-      RecoveryStats* stats, int replay_threads = 1,
-      size_t log_read_ahead_bytes = 0);
+      RecoveryStats* stats, int replay_threads = 1);
 
   /// LoadCheckpoints + ReplayLog.
   [[nodiscard]] static Status Recover(CheckpointStorage* storage,

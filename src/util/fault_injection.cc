@@ -32,8 +32,8 @@ constexpr FaultPointInfo kRegistry[] = {
      "CheckpointFileWriter::Append/AppendTombstone, before an entry is "
      "appended"},
     {"ckpt_file.block",
-     "CheckpointFileWriter::WriteBlock, before a sealed serialization "
-     "block is appended to the file (the I/O thread in async mode)"},
+     "CheckpointFileWriter::SealBlock, before a full serialization "
+     "block is appended to the file"},
     {"ckpt_file.footer",
      "CheckpointFileWriter::Finish, before the footer is appended"},
     {"ckpt_file.fsync",

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <utility>
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include "obs/obs.h"
@@ -23,12 +22,9 @@ constexpr size_t kCoalesceBytes = 4096;
 // coalesced bytes. Matches the Consume() chunk size.
 constexpr size_t kStageBytes = 64 * 1024;
 
-// Direct-I/O alignment (covers 512B and 4KiB logical block devices) and
-// staging capacity. The larger stage keeps each write(2) long enough to
-// genuinely block in the device, which is what the async checkpoint
-// writer overlaps against.
-constexpr size_t kDirectAlign = 4096;
-constexpr size_t kDirectStageBytes = 1024 * 1024;
+// Read-ahead buffer every SequentialFileReader opens with: checkpoint
+// and command-log scans issue one read(2) per this many bytes.
+constexpr size_t kReadAheadBytes = 1 << 20;
 
 // Token charges are chunked so one large drain cannot overdraw the
 // bucket in a single step.
@@ -93,66 +89,32 @@ ThrottledFileWriter::~ThrottledFileWriter() {
 
 Status ThrottledFileWriter::Open(const std::string& path,
                                  uint64_t max_bytes_per_sec) {
-  WriterOpenOptions options;
+  std::shared_ptr<TokenBucket> budget;
   if (max_bytes_per_sec != 0) {
-    options.budget = std::make_shared<TokenBucket>(max_bytes_per_sec);
+    budget = std::make_shared<TokenBucket>(max_bytes_per_sec);
   }
-  return Open(path, std::move(options));
+  return Open(path, std::move(budget));
 }
 
 Status ThrottledFileWriter::Open(const std::string& path,
                                  std::shared_ptr<TokenBucket> budget,
                                  bool exclusive) {
-  WriterOpenOptions options;
-  options.budget = std::move(budget);
-  options.exclusive = exclusive;
-  return Open(path, std::move(options));
-}
-
-Status ThrottledFileWriter::Open(const std::string& path,
-                                 WriterOpenOptions options) {
   if (is_open()) return Status::InvalidArgument("already open");
-  bool direct = options.direct_io;
-  if (direct) {
-    int flags = O_WRONLY | O_CREAT | O_TRUNC | O_DIRECT;
-    if (options.exclusive) flags |= O_EXCL;
-    fd_ = ::open(path.c_str(), flags, 0644);
-    if (fd_ < 0 && errno == EINVAL) {
-      // Filesystem without O_DIRECT support (tmpfs): fall back to the
-      // buffered path rather than failing the checkpoint.
-      direct = false;
-    } else if (fd_ < 0) {
-      return Status::IOError("open " + path + ": " + std::strerror(errno));
-    }
+  // "x" is C11's O_EXCL: create the file, failing if it already exists.
+  file_ = std::fopen(path.c_str(), exclusive ? "wbx" : "wb");
+  if (file_ == nullptr) {
+    return Status::IOError("open " + path + ": " + std::strerror(errno));
   }
-  if (!direct) {
-    // "x" is C11's O_EXCL: create the file, failing if it already exists.
-    file_ = std::fopen(path.c_str(), options.exclusive ? "wbx" : "wb");
-    if (file_ == nullptr) {
-      return Status::IOError("open " + path + ": " + std::strerror(errno));
-    }
-  }
-  stage_cap_ = direct ? kDirectStageBytes : kStageBytes;
-  if (direct) {
-    void* mem = nullptr;
-    if (posix_memalign(&mem, kDirectAlign, stage_cap_) != 0) {
-      ::close(fd_);
-      fd_ = -1;
-      return Status::IOError("posix_memalign for " + path);
-    }
-    stage_ = static_cast<uint8_t*>(mem);
-  } else {
-    stage_ = static_cast<uint8_t*>(std::malloc(stage_cap_));
-    if (stage_ == nullptr) {
-      std::fclose(file_);
-      file_ = nullptr;
-      return Status::IOError("malloc stage for " + path);
-    }
+  stage_ = static_cast<uint8_t*>(std::malloc(kStageBytes));
+  if (stage_ == nullptr) {
+    std::fclose(file_);
+    file_ = nullptr;
+    return Status::IOError("malloc stage for " + path);
   }
   stage_len_ = 0;
   path_ = path;
   bytes_written_ = 0;
-  budget_ = std::move(options.budget);
+  budget_ = std::move(budget);
   return Status::OK();
 }
 
@@ -165,26 +127,11 @@ void ThrottledFileWriter::ConsumeChunked(size_t n) {
   }
 }
 
-Status ThrottledFileWriter::WriteFd(const uint8_t* p, size_t n) {
-  while (n > 0) {
-    ssize_t w = ::write(fd_, p, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("write " + path_ + ": " +
-                             std::strerror(errno));
-    }
-    p += w;
-    n -= static_cast<size_t>(w);
-  }
-  return Status::OK();
-}
-
 Status ThrottledFileWriter::DrainStage() {
   if (stage_len_ == 0) return Status::OK();
   size_t n = stage_len_;
   stage_len_ = 0;
   ConsumeChunked(n);
-  if (fd_ >= 0) return WriteFd(stage_, n);
   if (std::fwrite(stage_, 1, n, file_) != n) {
     return Status::IOError("write " + path_ + ": " + std::strerror(errno));
   }
@@ -194,24 +141,22 @@ Status ThrottledFileWriter::DrainStage() {
 Status ThrottledFileWriter::Append(const void* data, size_t n) {
   if (!is_open()) return Status::InvalidArgument("not open");
   const auto* p = static_cast<const uint8_t*>(data);
-  if (fd_ >= 0 || n < kCoalesceBytes) {
-    // Coalesce through the stage. Direct mode always stages: write(2)
-    // under O_DIRECT needs aligned buffers and lengths, and the stage is
-    // the aligned memory.
+  if (n < kCoalesceBytes) {
+    // Coalesce through the stage.
     size_t remaining = n;
     while (remaining > 0) {
-      size_t room = stage_cap_ - stage_len_;
+      size_t room = kStageBytes - stage_len_;
       size_t take = remaining < room ? remaining : room;
       std::memcpy(stage_ + stage_len_, p, take);
       stage_len_ += take;
       p += take;
       remaining -= take;
-      if (stage_len_ == stage_cap_) CALCDB_RETURN_NOT_OK(DrainStage());
+      if (stage_len_ == kStageBytes) CALCDB_RETURN_NOT_OK(DrainStage());
     }
     bytes_written_ += n;
     return Status::OK();
   }
-  // Large buffered append: drain the stage to preserve byte order, then
+  // Large append: drain the stage to preserve byte order, then
   // write straight from the caller's memory, throttling in chunks.
   CALCDB_RETURN_NOT_OK(DrainStage());
   size_t remaining = n;
@@ -231,18 +176,6 @@ Status ThrottledFileWriter::Append(const void* data, size_t n) {
 
 Status ThrottledFileWriter::Flush() {
   if (!is_open()) return Status::InvalidArgument("not open");
-  if (fd_ >= 0) {
-    // Only an aligned prefix of the stage can be issued under O_DIRECT;
-    // keep the tail staged until Close() pads and trims it.
-    size_t aligned = stage_len_ & ~(kDirectAlign - 1);
-    if (aligned > 0) {
-      ConsumeChunked(aligned);
-      CALCDB_RETURN_NOT_OK(WriteFd(stage_, aligned));
-      std::memmove(stage_, stage_ + aligned, stage_len_ - aligned);
-      stage_len_ -= aligned;
-    }
-    return Status::OK();
-  }
   CALCDB_RETURN_NOT_OK(DrainStage());
   if (std::fflush(file_) != 0) {
     return Status::IOError("flush " + path_ + ": " + std::strerror(errno));
@@ -252,8 +185,7 @@ Status ThrottledFileWriter::Flush() {
 
 Status ThrottledFileWriter::Sync() {
   CALCDB_RETURN_NOT_OK(Flush());
-  int fd = fd_ >= 0 ? fd_ : ::fileno(file_);
-  if (::fsync(fd) != 0) {
+  if (::fsync(::fileno(file_)) != 0) {
     return Status::IOError("fsync " + path_ + ": " + std::strerror(errno));
   }
   return Status::OK();
@@ -261,45 +193,17 @@ Status ThrottledFileWriter::Sync() {
 
 Status ThrottledFileWriter::Close() {
   if (!is_open()) return Status::OK();
-  Status st = Status::OK();
-  if (fd_ >= 0) {
-    if (stage_len_ > 0) {
-      // Pad the tail to alignment, write it, then trim the file back to
-      // its logical length. Tokens are charged for payload bytes only.
-      size_t logical = stage_len_;
-      size_t padded = (logical + kDirectAlign - 1) & ~(kDirectAlign - 1);
-      std::memset(stage_ + logical, 0, padded - logical);
-      stage_len_ = 0;
-      ConsumeChunked(logical);
-      st = WriteFd(stage_, padded);
-    }
-    auto logical_size = static_cast<off_t>(bytes_written_);
-    if (st.ok() && ::ftruncate(fd_, logical_size) != 0) {
-      st = Status::IOError("ftruncate " + path_ + ": " +
-                           std::strerror(errno));
-    }
-    if (st.ok() && ::fsync(fd_) != 0) {
-      st = Status::IOError("fsync " + path_ + ": " + std::strerror(errno));
-    }
-    ::close(fd_);
-    fd_ = -1;
-  } else {
-    st = DrainStage();
-    if (st.ok() && std::fflush(file_) != 0) {
-      st = Status::IOError("flush " + path_ + ": " + std::strerror(errno));
-    }
-    if (st.ok()) {
-      if (::fsync(::fileno(file_)) != 0) {
-        st = Status::IOError("fsync " + path_ + ": " +
-                             std::strerror(errno));
-      }
-    }
-    std::fclose(file_);
-    file_ = nullptr;
+  Status st = DrainStage();
+  if (st.ok() && std::fflush(file_) != 0) {
+    st = Status::IOError("flush " + path_ + ": " + std::strerror(errno));
   }
+  if (st.ok() && ::fsync(::fileno(file_)) != 0) {
+    st = Status::IOError("fsync " + path_ + ": " + std::strerror(errno));
+  }
+  std::fclose(file_);
+  file_ = nullptr;
   std::free(stage_);
   stage_ = nullptr;
-  stage_cap_ = 0;
   stage_len_ = 0;
   return st;
 }
@@ -310,22 +214,18 @@ SequentialFileReader::~SequentialFileReader() {
   (void)Close();
 }
 
-Status SequentialFileReader::Open(const std::string& path,
-                                  size_t read_ahead_bytes) {
+Status SequentialFileReader::Open(const std::string& path) {
   if (file_ != nullptr) return Status::InvalidArgument("already open");
   file_ = std::fopen(path.c_str(), "rb");
   if (file_ == nullptr) {
     return Status::IOError("open " + path + ": " + std::strerror(errno));
   }
-  if (read_ahead_bytes > 0) {
-    // Best-effort: a failed setvbuf just leaves the libc default buffer.
-    read_ahead_buf_ = static_cast<char*>(std::malloc(read_ahead_bytes));
-    if (read_ahead_buf_ != nullptr &&
-        std::setvbuf(file_, read_ahead_buf_, _IOFBF, read_ahead_bytes) !=
-            0) {
-      std::free(read_ahead_buf_);
-      read_ahead_buf_ = nullptr;
-    }
+  // Best-effort: a failed setvbuf just leaves the libc default buffer.
+  read_ahead_buf_ = static_cast<char*>(std::malloc(kReadAheadBytes));
+  if (read_ahead_buf_ != nullptr &&
+      std::setvbuf(file_, read_ahead_buf_, _IOFBF, kReadAheadBytes) != 0) {
+    std::free(read_ahead_buf_);
+    read_ahead_buf_ = nullptr;
   }
   bytes_read_ = 0;
   return Status::OK();

@@ -42,7 +42,7 @@ class TokenBucket {
   /// Total bytes ever charged through Consume(), across all sharers and
   /// including unmetered buckets. Lets tests assert that writers charge
   /// each payload byte exactly once (no double-charge when small appends
-  /// are coalesced, no charge for direct-I/O tail padding).
+  /// are coalesced).
   uint64_t consumed() const {
     return consumed_.load(std::memory_order_relaxed);
   }
@@ -56,30 +56,6 @@ class TokenBucket {
   SpinLatch latch_;
   double tokens_ CALCDB_GUARDED_BY(latch_) = 0;
   int64_t last_refill_us_ CALCDB_GUARDED_BY(latch_) = 0;
-};
-
-/// How a ThrottledFileWriter opens its file. The two-argument Open
-/// overloads cover the common cases; this struct is for callers that
-/// need the full set (the checkpoint fast path).
-struct WriterOpenOptions {
-  /// Shared bandwidth budget; null means unthrottled.
-  std::shared_ptr<TokenBucket> budget;
-
-  /// Fail if the file already exists (O_CREAT|O_EXCL semantics) instead
-  /// of truncating it — the command-log streamer's guarantee that an
-  /// existing generation can never be clobbered.
-  bool exclusive = false;
-
-  /// Bypass the page cache with O_DIRECT. Appends are staged into an
-  /// aligned buffer and issued as large aligned write(2) calls that
-  /// genuinely block until the device accepts them — which is what lets
-  /// an async checkpoint writer overlap serialization with storage even
-  /// on a single core (buffered writes just memcpy into the page cache
-  /// and return). The unaligned tail is padded, written, and trimmed
-  /// back with ftruncate at Close(); Sync() only covers the aligned
-  /// prefix, so the durability barrier in this mode is Close(). Falls
-  /// back to buffered I/O when the filesystem rejects O_DIRECT (tmpfs).
-  bool direct_io = false;
 };
 
 /// A buffered sequential file writer with an optional token-bucket
@@ -116,53 +92,44 @@ class ThrottledFileWriter {
 
   /// Opens (creates/truncates) `path`, drawing bandwidth from `budget`,
   /// which may be shared with other writers. A null budget means
-  /// unthrottled.
+  /// unthrottled. `exclusive` fails if the file already exists
+  /// (O_CREAT|O_EXCL semantics) instead of truncating it — the
+  /// command-log streamer's guarantee that an existing generation can
+  /// never be clobbered.
   [[nodiscard]] Status Open(const std::string& path,
                             std::shared_ptr<TokenBucket> budget,
                             bool exclusive = false);
 
-  /// Full-control open; see WriterOpenOptions.
-  [[nodiscard]] Status Open(const std::string& path,
-                            WriterOpenOptions options);
-
   /// Appends `n` bytes, blocking as needed to respect the bandwidth cap.
   [[nodiscard]] Status Append(const void* data, size_t n);
 
-  /// Drains the staging buffer and flushes buffered data to the OS. In
-  /// direct mode only the aligned prefix of the stage can be issued; the
-  /// tail drains at Close().
+  /// Drains the staging buffer and flushes buffered data to the OS.
   [[nodiscard]] Status Flush();
 
   /// Flushes and fsyncs, keeping the file open: the durability barrier
-  /// the command-log streamer issues after every batch. (In direct mode
-  /// the unaligned tail is not yet on the device — use Close().)
+  /// the command-log streamer issues after every batch.
   [[nodiscard]] Status Sync();
 
   /// Flushes, fsyncs and closes. Safe to call twice.
   [[nodiscard]] Status Close();
 
-  /// Logical bytes accepted by Append() (excludes direct-I/O padding).
+  /// Bytes accepted by Append().
   uint64_t bytes_written() const { return bytes_written_; }
-  bool is_open() const { return file_ != nullptr || fd_ >= 0; }
+  bool is_open() const { return file_ != nullptr; }
 
  private:
   // Charges the budget in <=64KiB chunks so large drains do not overdraw
   // the bucket in one go (keeps the emitted rate smooth at fine scales).
   void ConsumeChunked(size_t n);
-  // Writes stage_[0..stage_len_) out (charging tokens) and resets it. In
-  // direct mode the stage is only ever full here, hence aligned.
+  // Writes stage_[0..stage_len_) out (charging tokens) and resets it.
   [[nodiscard]] Status DrainStage();
-  // Raw fd write loop handling EINTR and short writes (direct mode).
-  [[nodiscard]] Status WriteFd(const uint8_t* p, size_t n);
 
   std::FILE* file_ = nullptr;
-  int fd_ = -1;  // direct mode only; -1 otherwise
   std::string path_;
   uint64_t bytes_written_ = 0;
   std::shared_ptr<TokenBucket> budget_;
 
-  uint8_t* stage_ = nullptr;  // aligned iff direct mode
-  size_t stage_cap_ = 0;
+  uint8_t* stage_ = nullptr;
   size_t stage_len_ = 0;
 };
 
@@ -176,12 +143,10 @@ class SequentialFileReader {
   SequentialFileReader(const SequentialFileReader&) = delete;
   SequentialFileReader& operator=(const SequentialFileReader&) = delete;
 
-  /// Opens `path`. A nonzero `read_ahead_bytes` sizes the stdio buffer,
-  /// so a stream of tiny ReadExact calls costs one read(2) syscall per
-  /// `read_ahead_bytes` of file instead of one per BUFSIZ; 0 keeps the
-  /// libc default.
-  [[nodiscard]] Status Open(const std::string& path,
-                            size_t read_ahead_bytes = 0);
+  /// Opens `path` with a 1 MiB read-ahead buffer, so a stream of tiny
+  /// ReadExact calls costs one read(2) syscall per MiB of file instead
+  /// of one per libc BUFSIZ.
+  [[nodiscard]] Status Open(const std::string& path);
 
   /// Reads exactly `n` bytes. Returns IOError on short read / EOF.
   [[nodiscard]] Status ReadExact(void* out, size_t n);

@@ -149,61 +149,51 @@ void WriteFixture(const std::string& path,
   EXPECT_EQ(writer.entries_written(), 501u);
 }
 
-TEST(CheckpointFileTest, BlockSizeDoesNotChangeBytes) {
-  // The block buffer is pure batching: the emitted byte stream must be
-  // identical whatever block size cuts it, including the seed default.
+TEST(CheckpointFileTest, EntriesSpanManyBlockSeals) {
+  // The writer seals a block once it reaches 256 KiB. Write more than
+  // three blocks' worth of entries with uneven sizes, so entries land on
+  // both sides of several seals, then read every one back through the
+  // footer's CRC check.
+  constexpr uint64_t kBlock = 256 * 1024;
   TempDir dir;
-  std::string base = dir.path() + "/base";
+  std::string path = dir.path() + "/ckpt";
+  auto value_for = [](uint64_t key) {
+    return std::string(static_cast<size_t>(key * 37 % 3001),
+                       static_cast<char>('a' + key % 26));
+  };
   CheckpointFileWriter writer;
-  ASSERT_TRUE(writer.Open(base, CheckpointType::kFull, 9, 42, 0).ok());
-  for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(writer
-                    .Append(static_cast<uint64_t>(i),
-                            std::string(static_cast<size_t>(i % 97), 'v'))
-                    .ok());
+  ASSERT_TRUE(writer.Open(path, CheckpointType::kPartial, 5, 99, 0).ok());
+  uint64_t key = 0;
+  while (writer.bytes_written() < 3 * kBlock + kBlock / 2) {
+    if (key % 11 == 10) {
+      ASSERT_TRUE(writer.AppendTombstone(key).ok());
+    } else {
+      ASSERT_TRUE(writer.Append(key, value_for(key)).ok());
+    }
+    ++key;
   }
-  ASSERT_TRUE(writer.AppendTombstone(1000).ok());
   ASSERT_TRUE(writer.Finish().ok());
-  std::string baseline = ReadFileBytes(base);
-  ASSERT_FALSE(baseline.empty());
-
-  for (size_t block_bytes : {size_t{1}, size_t{64}, size_t{4096}}) {
-    CheckpointWriterOptions options;
-    options.block_bytes = block_bytes;
-    std::string path =
-        dir.path() + "/blk" + std::to_string(block_bytes);
-    WriteFixture(path, options);
-    EXPECT_EQ(ReadFileBytes(path), baseline)
-        << "block_bytes=" << block_bytes;
-  }
-}
-
-TEST(CheckpointFileTest, AsyncWriterMatchesSyncByteForByte) {
-  TempDir dir;
-  CheckpointWriterOptions sync_options;
-  sync_options.block_bytes = 512;  // force many seals
-  CheckpointWriterOptions async_options = sync_options;
-  async_options.async_io = true;
-  std::string sync_path = dir.path() + "/sync";
-  std::string async_path = dir.path() + "/async";
-  WriteFixture(sync_path, sync_options);
-  WriteFixture(async_path, async_options);
-  std::string sync_bytes = ReadFileBytes(sync_path);
-  ASSERT_FALSE(sync_bytes.empty());
-  EXPECT_EQ(ReadFileBytes(async_path), sync_bytes);
+  EXPECT_EQ(writer.entries_written(), key);
+  EXPECT_EQ(ReadFileBytes(path).size(), writer.bytes_written());
 
   CheckpointFileReader reader;
-  ASSERT_TRUE(reader.Open(async_path, /*read_ahead_bytes=*/1 << 16).ok());
-  EXPECT_EQ(reader.id(), 9u);
-  EXPECT_EQ(reader.vpoc_lsn(), 42u);
-  uint64_t entries = 0;
+  ASSERT_TRUE(reader.Open(path).ok());
+  EXPECT_EQ(reader.type(), CheckpointType::kPartial);
+  EXPECT_EQ(reader.id(), 5u);
+  EXPECT_EQ(reader.vpoc_lsn(), 99u);
+  uint64_t expected = 0;
   ASSERT_TRUE(reader
-                  .ReadAll([&](const CheckpointEntry&) -> Status {
-                    ++entries;
+                  .ReadAll([&](const CheckpointEntry& entry) -> Status {
+                    EXPECT_EQ(entry.key, expected);
+                    EXPECT_EQ(entry.tombstone, expected % 11 == 10);
+                    if (!entry.tombstone) {
+                      EXPECT_EQ(entry.value, value_for(expected));
+                    }
+                    ++expected;
                     return Status::OK();
                   })
                   .ok());
-  EXPECT_EQ(entries, 501u);
+  EXPECT_EQ(expected, key);
 }
 
 TEST(CheckpointFileTest, Crc32cRoundtripAndCorruptionDetection) {

@@ -28,6 +28,7 @@
 namespace calcdb {
 namespace {
 
+using testing_util::StateMap;
 using testing_util::TempDir;
 using torture::kTransferProcId;
 using torture::SetupBank;
@@ -165,32 +166,10 @@ TEST_F(FaultInjectionTest, SegmentFinishErrorPropagates) {
   EXPECT_TRUE(db->Checkpoint().ok());
 }
 
-/// An error hit on the async writer's I/O thread must travel through
-/// `io_status_` and surface from Finish() on the capture thread. With the
-/// default 256 KiB block size nothing is sealed before Finish, so the
-/// fault deterministically fires on the I/O thread, not inline.
-TEST_F(FaultInjectionTest, AsyncWriterIoErrorSurfacesFromFinish) {
-  TempDir dir;
-  std::string path = dir.path() + "/async_ckpt";
-  CheckpointWriterOptions writer_options;
-  writer_options.async_io = true;
-  CheckpointFileWriter writer;
-  ASSERT_TRUE(
-      writer.Open(path, CheckpointType::kFull, 1, 0, writer_options).ok());
-  fault::ArmError("ckpt_file.block");
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(writer.Append(static_cast<uint64_t>(i), "value").ok());
-  }
-  Status st = writer.Finish();
-  ASSERT_FALSE(st.ok());
-  EXPECT_TRUE(st.IsIOError()) << st.ToString();
-  EXPECT_NE(st.ToString().find("injected fault"), std::string::npos)
-      << st.ToString();
-}
-
-/// Same fault, but through the full checkpoint path with async I/O on:
-/// the Checkpoint() caller sees the error and the next cycle recovers.
-TEST_F(FaultInjectionTest, AsyncCheckpointIoErrorPropagates) {
+/// A failed block write on the capture thread fails Checkpoint(), and
+/// the next cycle succeeds. The bank fits in one 256 KiB block, so the
+/// fault fires at the final seal inside Finish.
+TEST_F(FaultInjectionTest, CheckpointBlockWriteErrorPropagates) {
   TempDir dir;
   std::unique_ptr<Database> db;
   {
@@ -200,7 +179,6 @@ TEST_F(FaultInjectionTest, AsyncCheckpointIoErrorPropagates) {
     options.checkpoint_dir = dir.path() + "/ckpt";
     options.disk_bytes_per_sec = 0;
     options.capture_threads = 1;
-    options.ckpt_async_io = 1;
     ASSERT_TRUE(Database::Open(options, &db).ok());
     db->registry()->Register(std::make_unique<TransferProcedure>());
     ASSERT_TRUE(SetupBank(db.get(), 16).ok());
@@ -253,6 +231,89 @@ TEST_F(FaultInjectionTest, MergeErrorsPropagate) {
     EXPECT_TRUE(merger.CollapseOnce(3, &did_merge).ok());
     EXPECT_EQ(did_merge, std::string(point) == "merge.replace");
   }
+}
+
+/// The background merger has no caller to return a Status to, so a
+/// failed collapse must surface as a merge.failed WARN and a
+/// calcdb.ckpt.merge_failures count, and must leave the chain intact.
+TEST_F(FaultInjectionTest, BackgroundMergeFailureIsReported) {
+  obs::EventLog::Global().ResetForTest();
+  obs::EventLog::Global().SetStderrMirror(false);
+  TempDir dir;
+  std::unique_ptr<Database> db;
+  OpenBankDb(dir, &db, CheckpointAlgorithm::kPCalc, /*storage_shards=*/0,
+             /*with_streamer=*/false, /*base_checkpoint=*/true);
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(db->Checkpoint().ok());
+  std::vector<CheckpointInfo> chain_before =
+      db->checkpoint_storage()->RecoveryChain();
+  ASSERT_EQ(chain_before.size(), 3u);  // full + two partials
+  StateMap expected;
+  ASSERT_TRUE(testing_util::ChainToMap(chain_before, &expected).ok());
+#if CALCDB_OBS_ENABLED
+  uint64_t failures_before = obs::MetricsRegistry::Global()
+                                 .GetCounter("calcdb.ckpt.merge_failures")
+                                 ->Sum();
+#endif
+
+  CheckpointMerger merger(db->checkpoint_storage());
+  fault::ArmError("merge.replace");
+  // The first poll collapses at once and fails; the next would come a
+  // second later, long after StopBackground below.
+  merger.StartBackground(/*trigger_batch=*/1, /*poll_ms=*/1000);
+  auto failure_seen = [] {
+#if CALCDB_OBS_ENABLED
+    for (const obs::Event& ev :
+         obs::EventLog::Global().ring().Snapshot()) {
+      if (ev.name != nullptr && std::string(ev.name) == "merge.failed") {
+        EXPECT_EQ(ev.severity, obs::Severity::kWarn);
+        EXPECT_STREQ(ev.cat, "ckpt");
+        EXPECT_NE(std::string(ev.detail).find("injected fault"),
+                  std::string::npos)
+            << ev.detail;
+        return true;
+      }
+    }
+    return false;
+#else
+    return !fault::Armed();
+#endif
+  };
+  bool seen = false;
+  for (int tries = 0; tries < 5000 && !seen; ++tries) {
+    seen = failure_seen();
+    if (!seen) SleepMicros(1000);
+  }
+  merger.StopBackground();
+  ASSERT_TRUE(seen) << "background merger never hit the armed fault";
+  EXPECT_EQ(merger.merges_done(), 0u);
+#if CALCDB_OBS_ENABLED
+  EXPECT_EQ(obs::MetricsRegistry::Global()
+                .GetCounter("calcdb.ckpt.merge_failures")
+                ->Sum(),
+            failures_before + 1);
+#endif
+
+  // The manifest chain still lists every input...
+  std::vector<CheckpointInfo> chain_after =
+      db->checkpoint_storage()->RecoveryChain();
+  ASSERT_EQ(chain_after.size(), chain_before.size());
+  for (size_t i = 0; i < chain_before.size(); ++i) {
+    EXPECT_EQ(chain_after[i].id, chain_before[i].id);
+    EXPECT_EQ(chain_after[i].type, chain_before[i].type);
+  }
+  // ...and recovery from the on-disk manifest yields the same state.
+  Options options = db->options();
+  ASSERT_TRUE(db->Shutdown().ok());
+  db.reset();
+  std::unique_ptr<Database> recovered;
+  ASSERT_TRUE(Database::Open(options, &recovered).ok());
+  recovered->registry()->Register(std::make_unique<TransferProcedure>());
+  RecoveryStats stats;
+  ASSERT_TRUE(recovered->Recover(nullptr, &stats).ok());
+  EXPECT_EQ(stats.checkpoints_loaded, 3u);
+  ASSERT_TRUE(recovered->Start().ok());
+  EXPECT_EQ(testing_util::DbToMap(recovered.get()), expected);
+  obs::EventLog::Global().ResetForTest();
 }
 
 /// Streamer flush errors happen on a background thread; they must

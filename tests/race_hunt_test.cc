@@ -149,7 +149,7 @@ TEST_P(RaceHuntCheckpointTest, MutatorVsCheckpointerSameRecords) {
 class RaceHuntParallelCaptureTest
     : public ::testing::TestWithParam<CheckpointAlgorithm> {};
 
-void RunSegmentedCaptureRace(CheckpointAlgorithm algo, bool async_io) {
+TEST_P(RaceHuntParallelCaptureTest, SegmentedCaptureVsMutators) {
   TempDir dir;
   MicrobenchConfig workload_config;
   workload_config.num_records = 48;
@@ -159,17 +159,11 @@ void RunSegmentedCaptureRace(CheckpointAlgorithm algo, bool async_io) {
 
   Options options;
   options.max_records = workload_config.num_records + 8;
-  options.algorithm = algo;
+  options.algorithm = GetParam();
   options.checkpoint_dir = dir.path();
   options.disk_bytes_per_sec = 0;
   options.storage_shards = 4;
   options.capture_threads = 4;
-  if (async_io) {
-    options.ckpt_async_io = 1;
-    // Tiny blocks force many capture-thread <-> I/O-thread handoffs per
-    // segment, so the double-buffer protocol itself is what gets raced.
-    options.ckpt_block_bytes = 512;
-  }
 
   std::unique_ptr<Database> db;
   ASSERT_TRUE(Database::Open(options, &db).ok());
@@ -227,19 +221,6 @@ void RunSegmentedCaptureRace(CheckpointAlgorithm algo, bool async_io) {
         ASSERT_TRUE(SetupMicrobench(fresh, workload_config).ok());
       });
   EXPECT_EQ(from_chain, at_vpoc);
-}
-
-TEST_P(RaceHuntParallelCaptureTest, SegmentedCaptureVsMutators) {
-  RunSegmentedCaptureRace(GetParam(), /*async_io=*/false);
-}
-
-// Same 4-way segmented capture under mutator fire, but with the
-// double-buffered async segment writer on: each capture thread hands
-// sealed blocks to its dedicated I/O thread, so TSan gets to watch the
-// handoff protocol (mutex/condvar swap, io_status_ propagation) under
-// real contention.
-TEST_P(RaceHuntParallelCaptureTest, SegmentedAsyncCaptureVsMutators) {
-  RunSegmentedCaptureRace(GetParam(), /*async_io=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -136,6 +137,44 @@ TEST(RecoveryRobustnessTest, CorruptRegisteredCheckpointFailsLoudly) {
   EXPECT_TRUE(found)
       << "expected a ckpt.crc_mismatch event naming " << ckpt_path;
 #endif
+}
+
+// The manifest's type field names a full (0) or partial (1) checkpoint.
+// Any other value is damage: recovery must fail loudly rather than let
+// the chain computation treat it as a partial.
+TEST(RecoveryRobustnessTest, UnknownManifestCheckpointTypeFailsLoudly) {
+  TempDir dir;
+  Options options = MakeOptions(dir.path());
+  {
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(options, &db).ok());
+    ASSERT_TRUE(SetupMicrobench(db.get(), SmallConfig()).ok());
+    ASSERT_TRUE(db->Start().ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  // Rewrite the one manifest line's type field (its second token) to 7.
+  std::string manifest_path = dir.path() + "/MANIFEST";
+  std::string line;
+  {
+    std::ifstream in(manifest_path);
+    ASSERT_TRUE(std::getline(in, line));
+    std::string extra;
+    EXPECT_FALSE(std::getline(in, extra));  // one checkpoint, one line
+  }
+  size_t first = line.find(' ');
+  size_t second = line.find(' ', first + 1);
+  ASSERT_NE(second, std::string::npos);
+  line.replace(first + 1, second - first - 1, "7");
+  {
+    std::ofstream out(manifest_path, std::ios::trunc);
+    out << line << "\n";
+  }
+
+  std::unique_ptr<Database> recovered;
+  ASSERT_TRUE(Database::Open(options, &recovered).ok());
+  RecoveryStats stats;
+  Status st = recovered->Recover(nullptr, &stats);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
 }
 
 // A registered segmented checkpoint with one torn segment is a crash

@@ -228,9 +228,7 @@ TEST(ThrottledFileTest, CoalescedAppendsChargeTokensOnce) {
   std::string path = dir.path() + "/coalesced";
   auto budget = std::make_shared<TokenBucket>(uint64_t{1} << 30);
   ThrottledFileWriter writer;
-  WriterOpenOptions open_options;
-  open_options.budget = budget;
-  ASSERT_TRUE(writer.Open(path, open_options).ok());
+  ASSERT_TRUE(writer.Open(path, budget).ok());
   uint64_t total = 0;
   // Mixed sizes: tiny appends that coalesce, plus one large append that
   // bypasses the stage, plus an odd tail.
@@ -246,38 +244,6 @@ TEST(ThrottledFileTest, CoalescedAppendsChargeTokensOnce) {
   ASSERT_TRUE(writer.Close().ok());
   EXPECT_EQ(budget->consumed(), total);
   EXPECT_EQ(testing_util::FileSize(path), total);
-}
-
-TEST(ThrottledFileTest, DirectIoRoundtripAndAccounting) {
-  // O_DIRECT mode pads the final partial sector internally, then
-  // ftruncates back: readers must see exactly the logical bytes, and the
-  // budget must be charged for logical bytes only (not alignment pad).
-  testing_util::TempDir dir;
-  std::string path = dir.path() + "/direct";
-  auto budget = std::make_shared<TokenBucket>(uint64_t{1} << 30);
-  ThrottledFileWriter writer;
-  WriterOpenOptions open_options;
-  open_options.budget = budget;
-  open_options.direct_io = true;
-  ASSERT_TRUE(writer.Open(path, open_options).ok());
-  std::string payload;
-  uint64_t total = 0;
-  for (int i = 0; i < 300; ++i) {
-    std::string piece(static_cast<size_t>(100 + i * 7), 'a' + i % 26);
-    ASSERT_TRUE(writer.Append(piece.data(), piece.size()).ok());
-    payload += piece;
-    total += piece.size();
-  }
-  ASSERT_NE(total % 4096, 0u);  // force an unaligned tail
-  ASSERT_TRUE(writer.Close().ok());
-  EXPECT_EQ(budget->consumed(), total);
-  EXPECT_EQ(testing_util::FileSize(path), total);
-  SequentialFileReader reader;
-  ASSERT_TRUE(reader.Open(path).ok());
-  std::string read_back(total, '\0');
-  ASSERT_TRUE(reader.ReadExact(read_back.data(), total).ok());
-  EXPECT_EQ(read_back, payload);
-  EXPECT_TRUE(reader.AtEof());
 }
 
 }  // namespace

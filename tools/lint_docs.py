@@ -34,11 +34,9 @@ import tempfile
 # Options fields may appear too (they are validated the same way).
 REQUIRED_OPTIONS = [
     "checkpoint_dir",
-    "ckpt_read_ahead_bytes",
     "recovery_threads",
     "replay_threads",
     "storage_shards",
-    "log_read_ahead_bytes",
     "command_log_path",
     "command_log_flush_ms",
 ]
@@ -184,11 +182,9 @@ CHECKS = {
 GOOD_OPTIONS = """\
 struct Options {
   std::string checkpoint_dir = "/tmp/x";
-  size_t ckpt_read_ahead_bytes = 1 << 20;
   int recovery_threads = 0;
   int replay_threads = 0;
   int storage_shards = 0;
-  size_t log_read_ahead_bytes = 1 << 20;
   std::string command_log_path;
   int command_log_flush_ms = 10;
 };
@@ -198,11 +194,9 @@ GOOD_DOC = """\
 | Option | Default | Role |
 |---|---|---|
 | `checkpoint_dir` | `"/tmp/x"` | d |
-| `ckpt_read_ahead_bytes` | `1 << 20` | d |
 | `recovery_threads` | `0` | d |
 | `replay_threads` | `0` | d |
 | `storage_shards` | `0` | d |
-| `log_read_ahead_bytes` | `1 << 20` | d |
 | `command_log_path` | `""` | d |
 | `command_log_flush_ms` | `10` | d |
 """
@@ -239,7 +233,7 @@ SELF_TEST_CASES = [
     (
         lambda fs: fs.update(
             {OPTIONS_HEADER: GOOD_OPTIONS.replace(
-                "log_read_ahead_bytes", "log_readahead_bytes")}
+                "command_log_flush_ms", "command_log_flush_msec")}
         ),
         "options-table",
         "does not exist",
