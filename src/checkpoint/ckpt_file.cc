@@ -1,5 +1,6 @@
 #include "checkpoint/ckpt_file.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -22,6 +23,19 @@ constexpr uint8_t kTombstoneFlag = 0x01;
 // one append (one token charge + one write instead of four per record).
 // Never changes the byte stream, only the append granularity.
 constexpr size_t kBlockBytes = 256 * 1024;
+
+// Read block size: the reader decodes entries in place from one block
+// of this size (see CheckpointFileReader).
+constexpr size_t kReadBlockBytes = 1 << 20;
+
+constexpr size_t kHeaderBytes = 8 + 4 + 1 + 8 + 8;  // magic .. vpoc_lsn
+constexpr size_t kEntryHeadBytes = 8 + 1;            // key, flags
+constexpr size_t kFooterBytes = kEntryHeadBytes + 8 + 4;  // + count, crc
+constexpr uint32_t kMaxValueBytes = 1u << 30;
+
+// Entries per decoded batch: bounds the view vector (a 1 MiB block of
+// 9-byte tombstones would otherwise need 116k views).
+constexpr size_t kBatchEntries = 1024;
 
 }  // namespace
 
@@ -142,15 +156,21 @@ Status CheckpointFileWriter::Finish() {
 }
 
 Status CheckpointFileReader::Open(const std::string& path) {
-  CALCDB_RETURN_NOT_OK(reader_.Open(path));
+  CALCDB_RETURN_NOT_OK(file_.OpenUnbuffered(path));
   path_ = path;
-  char magic[8];
-  CALCDB_RETURN_NOT_OK(reader_.ReadExact(magic, sizeof(magic)));
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  cap_ = kReadBlockBytes;
+  buf_.reset(new char[cap_]);
+  end_ = pos_ = crc_from_ = 0;
+  buf_offset_ = 0;
+  // Field by field, so a short file with a bad magic or version is
+  // Corruption, not torn.
+  CALCDB_RETURN_NOT_OK(Fill(sizeof(kMagic)));
+  if (std::memcmp(buf_.get(), kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption("bad checkpoint magic: " + path);
   }
   uint32_t version;
-  CALCDB_RETURN_NOT_OK(reader_.ReadExact(&version, sizeof(version)));
+  CALCDB_RETURN_NOT_OK(Fill(sizeof(kMagic) + sizeof(version)));
+  std::memcpy(&version, buf_.get() + sizeof(kMagic), sizeof(version));
   if (version == kVersionCrc32) {
     checksum_ = ChecksumKind::kCrc32;
   } else if (version == kVersionCrc32c) {
@@ -158,71 +178,128 @@ Status CheckpointFileReader::Open(const std::string& path) {
   } else {
     return Status::Corruption("unsupported checkpoint version");
   }
-  uint8_t t;
-  CALCDB_RETURN_NOT_OK(reader_.ReadExact(&t, sizeof(t)));
-  type_ = static_cast<CheckpointType>(t);
-  CALCDB_RETURN_NOT_OK(reader_.ReadExact(&id_, sizeof(id_)));
-  CALCDB_RETURN_NOT_OK(reader_.ReadExact(&vpoc_lsn_, sizeof(vpoc_lsn_)));
+  CALCDB_RETURN_NOT_OK(Fill(kHeaderBytes));
+  const char* p = buf_.get() + sizeof(kMagic) + sizeof(version);
+  type_ = static_cast<CheckpointType>(static_cast<uint8_t>(p[0]));
+  std::memcpy(&id_, p + 1, sizeof(id_));
+  std::memcpy(&vpoc_lsn_, p + 1 + sizeof(id_), sizeof(vpoc_lsn_));
+  pos_ = crc_from_ = kHeaderBytes;  // the header is not checksummed
   count_seen_ = 0;
   crc_ = 0;
   return Status::OK();
 }
 
-Status CheckpointFileReader::Next(CheckpointEntry* entry, bool* eof) {
+Status CheckpointFileReader::Fill(size_t need) {
+  if (end_ - pos_ >= need) return Status::OK();
+  char* buf = buf_.get();
+  crc_ = ChecksumRun(checksum_, buf + crc_from_, pos_ - crc_from_, crc_);
+  size_t carry = end_ - pos_;
+  // One block, unless a single entry is larger; back to one block after.
+  size_t cap = std::max(kReadBlockBytes, need);
+  if (cap != cap_) {
+    std::unique_ptr<char[]> grown(new char[cap]);
+    std::memcpy(grown.get(), buf + pos_, carry);
+    buf_ = std::move(grown);
+    cap_ = cap;
+  } else if (pos_ != 0) {
+    std::memmove(buf, buf + pos_, carry);
+  }
+  buf_offset_ += pos_;
+  pos_ = crc_from_ = 0;
+  end_ = carry;
+  while (end_ < need) {
+    size_t got = 0;
+    CALCDB_RETURN_NOT_OK(file_.Read(buf_.get() + end_, cap_ - end_, &got));
+    if (got == 0) return Status::IOError("short read: " + path_);
+    end_ += got;
+  }
+  return Status::OK();
+}
+
+Status CheckpointFileReader::NextBatch(
+    std::vector<CheckpointEntryView>* batch, bool* eof) {
+  batch->clear();
   *eof = false;
-  uint64_t key;
-  uint8_t flags;
-  CALCDB_RETURN_NOT_OK(reader_.ReadExact(&key, sizeof(key)));
-  CALCDB_RETURN_NOT_OK(reader_.ReadExact(&flags, sizeof(flags)));
-  if (key == kFooterKey && flags == kFooterFlags) {
-    uint64_t count;
-    uint32_t crc;
-    CALCDB_RETURN_NOT_OK(reader_.ReadExact(&count, sizeof(count)));
-    CALCDB_RETURN_NOT_OK(reader_.ReadExact(&crc, sizeof(crc)));
-    if (count != count_seen_) {
-      CALCDB_ERROR("ckpt.crc_mismatch", "ckpt", path_,
-                   {"offset",
-                    static_cast<int64_t>(reader_.bytes_read())},
-                   {"entries", static_cast<int64_t>(count_seen_)});
-      return Status::Corruption("checkpoint entry count mismatch");
+  for (;;) {
+    // Decode every entry that is whole in the block; `need` is the size
+    // of the first one that is not (or of the footer).
+    size_t need = 0;
+    bool footer = false;
+    while (batch->size() < kBatchEntries) {
+      const char* p = buf_.get() + pos_;
+      size_t avail = end_ - pos_;
+      if (avail < kEntryHeadBytes) {
+        need = kEntryHeadBytes;
+        break;
+      }
+      CheckpointEntryView entry;
+      std::memcpy(&entry.key, p, sizeof(entry.key));
+      uint8_t flags = static_cast<uint8_t>(p[8]);
+      if (entry.key == kFooterKey && flags == kFooterFlags) {
+        need = kFooterBytes;
+        footer = true;
+        break;
+      }
+      entry.tombstone = (flags & kTombstoneFlag) != 0;
+      size_t size = kEntryHeadBytes;
+      if (!entry.tombstone) {
+        uint32_t len;
+        if (avail < kEntryHeadBytes + sizeof(len)) {
+          need = kEntryHeadBytes + sizeof(len);
+          break;
+        }
+        std::memcpy(&len, p + kEntryHeadBytes, sizeof(len));
+        if (len > kMaxValueBytes) {
+          return Status::Corruption("entry too large");
+        }
+        size += sizeof(len) + len;
+        if (avail < size) {
+          need = size;
+          break;
+        }
+        entry.value = std::string_view(p + size - len, len);
+      }
+      batch->push_back(entry);
+      pos_ += size;
     }
-    if (crc != crc_) {
-      CALCDB_ERROR("ckpt.crc_mismatch", "ckpt", path_,
-                   {"offset",
-                    static_cast<int64_t>(reader_.bytes_read())},
-                   {"entries", static_cast<int64_t>(count_seen_)});
-      return Status::Corruption("checkpoint crc mismatch");
-    }
-    *eof = true;
-    return Status::OK();
+    count_seen_ += batch->size();
+    if (!batch->empty()) return Status::OK();
+    // Nothing whole is left in the block, so no view points into it.
+    CALCDB_RETURN_NOT_OK(Fill(need));
+    if (footer) break;
   }
-  crc_ = ChecksumRun(checksum_, &key, sizeof(key), crc_);
-  crc_ = ChecksumRun(checksum_, &flags, sizeof(flags), crc_);
-  entry->key = key;
-  entry->tombstone = (flags & kTombstoneFlag) != 0;
-  entry->value.clear();
-  if (!entry->tombstone) {
-    uint32_t len;
-    CALCDB_RETURN_NOT_OK(reader_.ReadExact(&len, sizeof(len)));
-    crc_ = ChecksumRun(checksum_, &len, sizeof(len), crc_);
-    if (len > (1u << 30)) return Status::Corruption("entry too large");
-    entry->value.resize(len);
-    CALCDB_RETURN_NOT_OK(reader_.ReadExact(entry->value.data(), len));
-    crc_ = ChecksumRun(checksum_, entry->value.data(), len, crc_);
+
+  // The footer ends the last run of entry bytes.
+  const char* p = buf_.get() + pos_;
+  crc_ =
+      ChecksumRun(checksum_, buf_.get() + crc_from_, pos_ - crc_from_, crc_);
+  uint64_t count;
+  uint32_t crc;
+  std::memcpy(&count, p + kEntryHeadBytes, sizeof(count));
+  std::memcpy(&crc, p + kEntryHeadBytes + sizeof(count), sizeof(crc));
+  pos_ += kFooterBytes;
+  crc_from_ = pos_;
+  if (count != count_seen_ || crc != crc_) {
+    CALCDB_ERROR("ckpt.crc_mismatch", "ckpt", path_,
+                 {"offset", static_cast<int64_t>(buf_offset_ + pos_)},
+                 {"entries", static_cast<int64_t>(count_seen_)});
+    return Status::Corruption(count != count_seen_
+                                  ? "checkpoint entry count mismatch"
+                                  : "checkpoint crc mismatch");
   }
-  ++count_seen_;
+  *eof = true;
   return Status::OK();
 }
 
 Status CheckpointFileReader::ReadAll(
     const std::function<Status(const CheckpointEntry&)>& fn) {
   CheckpointEntry entry;
-  bool eof = false;
-  for (;;) {
-    CALCDB_RETURN_NOT_OK(Next(&entry, &eof));
-    if (eof) return Status::OK();
-    CALCDB_RETURN_NOT_OK(fn(entry));
-  }
+  return Scan([&](const CheckpointEntryView& view) -> Status {
+    entry.key = view.key;
+    entry.tombstone = view.tombstone;
+    entry.value.assign(view.value);
+    return fn(entry);
+  });
 }
 
 }  // namespace calcdb

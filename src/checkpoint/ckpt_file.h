@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/crc32.h"
 #include "util/status.h"
@@ -107,33 +108,75 @@ class CheckpointFileWriter {
   uint64_t bytes_out_ = 0;  // bytes sealed out of block_
 };
 
-/// Sequential checkpoint reader; validates the footer checksum with the
-/// checksum kind the file's header version names.
+/// One decoded entry, viewing the reader's block buffer: `value` is
+/// valid only until the reader's next call.
+struct CheckpointEntryView {
+  uint64_t key = 0;
+  bool tombstone = false;
+  std::string_view value;
+};
+
+/// Sequential checkpoint reader; validates the footer count and checksum
+/// with the checksum kind the file's header version names.
+///
+/// The file is read in fixed 1 MiB blocks and entries are decoded in
+/// place, with length and bounds checks. The checksum covers each
+/// contiguous run of entry bytes in a block with one call. An entry that
+/// straddles a block boundary is carried into the next block; an entry
+/// larger than a block grows the buffer for that entry only. So an open
+/// reader holds one block, never the whole file.
+///
+/// Errors: a short read (torn or missing file) is IOError; a count or
+/// checksum mismatch at the footer, a bad magic or version, or an
+/// impossible entry length is Corruption.
 class CheckpointFileReader {
  public:
   CheckpointFileReader() = default;
   CheckpointFileReader(const CheckpointFileReader&) = delete;
   CheckpointFileReader& operator=(const CheckpointFileReader&) = delete;
 
-  /// Opens `path` and reads its header. Entry scans go through
-  /// SequentialFileReader's read-ahead buffer.
+  /// Opens `path` and decodes its header.
   [[nodiscard]] Status Open(const std::string& path);
 
   CheckpointType type() const { return type_; }
   uint64_t id() const { return id_; }
   uint64_t vpoc_lsn() const { return vpoc_lsn_; }
 
-  /// Reads the next entry. Sets `*eof` when the (validated) footer is
-  /// reached; the entry is valid only when `*eof` is false.
-  [[nodiscard]] Status Next(CheckpointEntry* entry, bool* eof);
+  /// Calls `fn(const CheckpointEntryView&) -> Status` on every entry and
+  /// validates the footer. `fn` returning non-OK aborts the scan.
+  template <typename Fn>
+  [[nodiscard]] Status Scan(Fn&& fn) {
+    std::vector<CheckpointEntryView> batch;
+    bool eof = false;
+    for (;;) {
+      CALCDB_RETURN_NOT_OK(NextBatch(&batch, &eof));
+      if (eof) return Status::OK();
+      for (const CheckpointEntryView& entry : batch) {
+        CALCDB_RETURN_NOT_OK(fn(entry));
+      }
+    }
+  }
 
-  /// Convenience: iterates every entry through `fn` and validates the
-  /// footer. `fn` returning non-OK aborts the scan.
+  /// Convenience: Scan with owning entries.
   [[nodiscard]] Status ReadAll(
       const std::function<Status(const CheckpointEntry&)>& fn);
 
  private:
-  SequentialFileReader reader_;
+  // The one decoder every scan goes through: decodes, in place, the
+  // entries that are complete in the current block (at most a fixed
+  // number), reading the next block first when none is. Sets `*eof`,
+  // with an empty batch, when the (validated) footer is reached. The
+  // views stay valid until the next call.
+  [[nodiscard]] Status NextBatch(std::vector<CheckpointEntryView>* batch,
+                                 bool* eof);
+
+  // Makes at least `need` bytes available from pos_ (the start of the
+  // entry being decoded): checksums the finished run before pos_, moves
+  // the partial entry to the front of the block and reads behind it.
+  // IOError on a short read.
+  [[nodiscard]] Status Fill(size_t need);
+
+  SequentialFileReader file_;
   std::string path_;
   CheckpointType type_ = CheckpointType::kFull;
   ChecksumKind checksum_ = ChecksumKind::kCrc32;
@@ -141,6 +184,13 @@ class CheckpointFileReader {
   uint64_t vpoc_lsn_ = 0;
   uint64_t count_seen_ = 0;
   uint32_t crc_ = 0;
+
+  std::unique_ptr<char[]> buf_;
+  size_t cap_ = 0;        // bytes allocated at buf_
+  size_t end_ = 0;        // bytes of the file held in buf_
+  size_t pos_ = 0;        // decode position in buf_
+  size_t crc_from_ = 0;   // start of the run not yet checksummed
+  uint64_t buf_offset_ = 0;  // file offset of buf_[0]
 };
 
 }  // namespace calcdb

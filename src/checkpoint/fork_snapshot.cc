@@ -226,8 +226,8 @@ Status ForkSnapshotCheckpointer::RunCheckpointCycle() {
   CheckpointFileReader reader;
   CALCDB_RETURN_NOT_OK(reader.Open(path));
   uint64_t entries = 0;
-  CALCDB_RETURN_NOT_OK(reader.ReadAll(
-      [&](const CheckpointEntry&) -> Status {
+  CALCDB_RETURN_NOT_OK(reader.Scan(
+      [&](const CheckpointEntryView&) -> Status {
         ++entries;
         return Status::OK();
       }));

@@ -1,13 +1,14 @@
 #include "checkpoint/merger.h"
 
+#include <chrono>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "checkpoint/ckpt_file.h"
 #include "obs/obs.h"
-#include "util/clock.h"
 #include "util/fault_injection.h"
 
 namespace calcdb {
@@ -36,11 +37,11 @@ Status CheckpointMerger::CollapseOnce(size_t max_partials,
       CheckpointFileReader reader;
       CALCDB_RETURN_NOT_OK(reader.Open(file));
       CALCDB_RETURN_NOT_OK(
-          reader.ReadAll([&](const CheckpointEntry& entry) -> Status {
+          reader.Scan([&](const CheckpointEntryView& entry) -> Status {
             if (entry.tombstone) {
               merged.erase(entry.key);
             } else {
-              merged[entry.key] = entry.value;
+              merged[entry.key].assign(entry.value);
             }
             return Status::OK();
           }));
@@ -89,7 +90,7 @@ Status CheckpointMerger::CollapseOnce(size_t max_partials,
 void CheckpointMerger::StartBackground(size_t trigger_batch, int poll_ms) {
   if (running_.exchange(true, std::memory_order_acq_rel)) return;
   thread_ = std::thread([this, trigger_batch, poll_ms] {
-    while (running_.load(std::memory_order_acquire)) {
+    for (;;) {
       std::vector<CheckpointInfo> chain = storage_->RecoveryChain();
       if (chain.size() >= trigger_batch + 1) {
         bool did_merge = false;
@@ -101,13 +102,24 @@ void CheckpointMerger::StartBackground(size_t trigger_batch, int poll_ms) {
           CALCDB_WARN("merge.failed", "ckpt", st.ToString());
         }
       }
-      SleepMicros(static_cast<int64_t>(poll_ms) * 1000);
+      // Wait out the poll interval, but wake at once for StopBackground.
+      std::unique_lock<std::mutex> lock(stop_mu_);
+      bool stopped = stop_cv_.wait_for(
+          lock, std::chrono::milliseconds(poll_ms),
+          [this] { return !running_.load(std::memory_order_acquire); });
+      if (stopped) return;
     }
   });
 }
 
 void CheckpointMerger::StopBackground() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+  {
+    // Under the mutex, so the store cannot fall between the loop's
+    // predicate check and its wait.
+    std::lock_guard<std::mutex> lock(stop_mu_);
+    if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+  }
+  stop_cv_.notify_all();
   if (thread_.joinable()) thread_.join();
 }
 

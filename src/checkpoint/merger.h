@@ -2,7 +2,9 @@
 #define CALCDB_CHECKPOINT_MERGER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
+#include <mutex>
 #include <thread>
 
 #include "checkpoint/ckpt_storage.h"
@@ -41,6 +43,9 @@ class CheckpointMerger {
   /// checkpoint (the paper's "runs after 4, 8, and 16 partial checkpoints
   /// have been taken" configurations).
   void StartBackground(size_t trigger_batch, int poll_ms = 200);
+
+  /// Stops the background thread. Wakes it from its poll wait, so this
+  /// returns as soon as any collapse in progress finishes.
   void StopBackground();
 
   /// Number of collapses performed (tests, stats).
@@ -51,6 +56,8 @@ class CheckpointMerger {
  private:
   CheckpointStorage* storage_;
   std::atomic<bool> running_{false};
+  std::mutex stop_mu_;  // pairs running_'s clearing with stop_cv_
+  std::condition_variable stop_cv_;
   std::atomic<uint64_t> merges_done_{0};
   std::thread thread_;
 };

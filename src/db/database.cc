@@ -99,7 +99,7 @@ constexpr double kHealthStallMultiplier = 3.0;
 
 // Resolves a 0 = "auto" thread-count option: the environment variable if
 // set to a positive integer, else `fallback`. Lets CI sweep parallel
-// capture/recovery across the existing test suite without touching every
+// capture/replay across the existing test suite without touching every
 // Options construction site.
 int ResolveThreadOption(int configured, const char* env_var, int fallback) {
   if (configured > 0) return configured;
@@ -118,10 +118,8 @@ int Database::ResolvedCaptureThreads(const Options& options) {
                              "CALCDB_CAPTURE_THREADS", 1);
 }
 
-int Database::ResolvedRecoveryThreads(const Options& options) {
-  return ResolveThreadOption(options.recovery_threads,
-                             "CALCDB_RECOVERY_THREADS",
-                             ResolvedCaptureThreads(options));
+int Database::ResolvedRecoveryThreads(const Options&) {
+  return RecoveryManager::LoadThreads();
 }
 
 int Database::ResolvedReplayThreads(const Options& options) {
@@ -230,8 +228,8 @@ Status Database::Recover(const CommitLog* replay_log,
   CALCDB_RETURN_NOT_OK(st);
   RecoveryStats local;
   RecoveryStats* s = stats != nullptr ? stats : &local;
-  CALCDB_RETURN_NOT_OK(RecoveryManager::LoadCheckpoints(
-      &ckpt_storage_, store_.get(), s, ResolvedRecoveryThreads(options_)));
+  CALCDB_RETURN_NOT_OK(
+      RecoveryManager::LoadCheckpoints(&ckpt_storage_, store_.get(), s));
   if (replay_log != nullptr) {
     CALCDB_RETURN_NOT_OK(
         RecoveryManager::ReplayLog(*replay_log, registry_, store_.get(), s,
@@ -250,9 +248,8 @@ Status Database::RecoverFromCommandLog(RecoveryStats* stats) {
   Status st = ckpt_storage_.LoadManifest();
   if (!st.IsNotFound()) {
     CALCDB_RETURN_NOT_OK(st);
-    CALCDB_RETURN_NOT_OK(RecoveryManager::LoadCheckpoints(
-        &ckpt_storage_, store_.get(), s,
-        ResolvedRecoveryThreads(options_)));
+    CALCDB_RETURN_NOT_OK(
+        RecoveryManager::LoadCheckpoints(&ckpt_storage_, store_.get(), s));
   }
   std::vector<std::string> generations;
   CALCDB_RETURN_NOT_OK(CommandLogStreamer::ListLogFiles(

@@ -142,13 +142,15 @@ class Database {
   const Options& options() const { return options_; }
   bool started() const { return started_; }
 
-  /// Resolves Options::capture_threads / recovery_threads /
-  /// replay_threads, applying the 0 = auto rule (CALCDB_CAPTURE_THREADS /
-  /// CALCDB_RECOVERY_THREADS / CALCDB_REPLAY_THREADS environment
-  /// variables, else 1).
+  /// Resolves Options::capture_threads / replay_threads, applying the
+  /// 0 = auto rule (CALCDB_CAPTURE_THREADS / CALCDB_REPLAY_THREADS
+  /// environment variables, else 1).
   static int ResolvedCaptureThreads(const Options& options);
-  static int ResolvedRecoveryThreads(const Options& options);
   static int ResolvedReplayThreads(const Options& options);
+
+  /// Checkpoint-load workers at recovery: the usable core count
+  /// (RecoveryManager::LoadThreads); no option or variable sets it.
+  static int ResolvedRecoveryThreads(const Options& options);
 
   /// Resolves Options::storage_shards, applying the 0 = auto rule
   /// (CALCDB_STORAGE_SHARDS environment variable, else 1).

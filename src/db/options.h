@@ -69,13 +69,6 @@ struct Options {
   /// CALCDB_CAPTURE_THREADS environment variable if set, else 1.
   int capture_threads = 0;
 
-  /// Recovery checkpoint-load worker threads. Segments of one checkpoint
-  /// are loaded concurrently (they hold disjoint keys); checkpoints still
-  /// apply in chain order. 0 means auto: CALCDB_RECOVERY_THREADS if set,
-  /// else the capture-thread resolution (segments are best loaded with as
-  /// much parallelism as wrote them).
-  int recovery_threads = 0;
-
   /// Command-log replay worker threads (recovery). Commands whose
   /// declared key footprints are disjoint replay concurrently under the
   /// ticket dependency rule (recovery/replay_scheduler.h); the final

@@ -1,10 +1,14 @@
 #include "recovery/recovery_manager.h"
 
+#include <sched.h>
+
 #include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -16,40 +20,24 @@ namespace calcdb {
 
 namespace {
 
-/// Runs `fn` over every file with up to `nthreads` workers. Returns the
-/// first Corruption seen (damage always wins), else the first other
-/// non-OK status in file order.
-Status ForEachFileParallel(
-    const std::vector<std::string>& files, int nthreads,
-    const std::function<Status(const std::string&)>& fn) {
-  if (nthreads > static_cast<int>(files.size())) {
-    nthreads = static_cast<int>(files.size());
-  }
-  std::vector<Status> statuses(files.size());
-  if (nthreads <= 1) {
-    for (size_t i = 0; i < files.size(); ++i) statuses[i] = fn(files[i]);
-  } else {
-    std::atomic<size_t> next{0};
-    auto worker = [&] {
-      for (;;) {
-        size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= files.size()) return;
-        statuses[i] = fn(files[i]);
-      }
-    };
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(nthreads) - 1);
-    for (int t = 1; t < nthreads; ++t) threads.emplace_back(worker);
-    worker();
-    for (std::thread& t : threads) t.join();
-  }
-  for (const Status& st : statuses) {
-    if (st.IsCorruption()) return st;
-  }
-  for (const Status& st : statuses) {
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
+/// Runs `fn(i)` for every i in [0, n) on up to `nthreads` workers (the
+/// caller is one of them).
+void ParallelFor(size_t n, int nthreads,
+                 const std::function<void(size_t)>& fn) {
+  size_t workers = nthreads < 1 ? 1 : static_cast<size_t>(nthreads);
+  if (workers > n) workers = n;
+  std::atomic<size_t> next{0};
+  auto worker = [&] {
+    for (;;) {
+      size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      fn(i);
+    }
+  };
+  std::vector<std::thread> threads;
+  for (size_t t = 1; t < workers; ++t) threads.emplace_back(worker);
+  worker();
+  for (std::thread& t : threads) t.join();
 }
 
 /// Reads every entry and the footer of one checkpoint file without
@@ -58,67 +46,54 @@ Status ForEachFileParallel(
 Status ValidateCheckpointFile(const std::string& path) {
   CheckpointFileReader reader;
   CALCDB_RETURN_NOT_OK(reader.Open(path));
-  return reader.ReadAll(
-      [](const CheckpointEntry&) -> Status { return Status::OK(); });
+  return reader.Scan(
+      [](const CheckpointEntryView&) -> Status { return Status::OK(); });
 }
 
-/// Applies one (already validated) checkpoint file into the store.
-Status ApplyCheckpointFile(const std::string& path, ShardedStore* store,
-                           std::atomic<uint64_t>* entries_applied) {
-  CheckpointFileReader reader;
-  CALCDB_RETURN_NOT_OK(reader.Open(path));
-  uint64_t applied = 0;
-  Status st = reader.ReadAll([&](const CheckpointEntry& entry) -> Status {
-    ++applied;
-    CALCDB_COUNTER_ADD("calcdb.recovery.entries_applied", 1);
-    CALCDB_COUNTER_ADD("calcdb.recovery.checkpoint_read_bytes",
-                       entry.value.size() + sizeof(entry.key));
-    if (entry.tombstone) {
-      // Deleting an absent key is fine: a partial may tombstone a
-      // record the loaded base never contained. Anything other than
-      // NotFound still propagates.
-      Status del = store->Delete(entry.key);
-      if (!del.ok() && !del.IsNotFound()) return del;
-      return Status::OK();
-    }
-    return store->Put(entry.key, entry.value);
-  });
-  entries_applied->fetch_add(applied, std::memory_order_relaxed);
-  return st;
-}
-
-}  // namespace
-
-Status RecoveryManager::LoadCheckpoints(CheckpointStorage* storage,
-                                        ShardedStore* store, RecoveryStats* stats,
-                                        int load_threads) {
-  Stopwatch sw;
-  CALCDB_TRACE_SPAN(load_span, "load_checkpoints", "recovery", 0);
-  if (load_threads < 1) load_threads = 1;
-
-  // Validate the whole chain before applying anything: a torn segment
-  // must reject its checkpoint before any sibling segment touches the
-  // store, and rejection shortens the chain — so validation and
-  // application cannot be interleaved.
+/// Validates the manifest's chain: every file of every member, on one
+/// worker pool. Outcomes are then read in chain order. The first member
+/// with a torn file (short read, missing file: a crash artifact) is
+/// rejected with every later checkpoint, and the chain is recomputed from
+/// the survivors. A Corruption (CRC / count mismatch: damage) fails.
+Status ValidateChain(CheckpointStorage* storage, int threads,
+                     RecoveryStats* stats,
+                     std::vector<CheckpointInfo>* chain) {
+  CALCDB_TRACE_SPAN(validate_span, "validate_checkpoints", "recovery", 0);
   std::vector<CheckpointInfo> candidates = storage->List();
-  std::vector<CheckpointInfo> chain;
+  std::unordered_map<std::string, Status> outcome;  // by file path
   for (;;) {
-    chain = CheckpointStorage::ChainFrom(candidates);
+    *chain = CheckpointStorage::ChainFrom(candidates);
+    std::vector<std::string> pending;
+    for (const CheckpointInfo& info : *chain) {
+      for (std::string& file : info.files()) {
+        if (outcome.count(file) == 0) pending.push_back(std::move(file));
+      }
+    }
+    std::vector<Status> results(pending.size());
+    ParallelFor(pending.size(), threads, [&](size_t i) {
+      results[i] = ValidateCheckpointFile(pending[i]);
+    });
+    for (size_t i = 0; i < pending.size(); ++i) {
+      outcome[pending[i]] = std::move(results[i]);
+    }
+
     uint64_t torn_id = 0;
     bool torn = false;
-    for (const CheckpointInfo& info : chain) {
-      Status st = ForEachFileParallel(info.files(), load_threads,
-                                      ValidateCheckpointFile);
-      if (st.ok()) continue;
-      if (st.IsCorruption()) return st;  // damage: fail loudly
-      // Short read / missing file: a crash artifact — fall back.
+    for (const CheckpointInfo& info : *chain) {
+      Status member;
+      for (const std::string& file : info.files()) {
+        const Status& st = outcome[file];
+        if (st.IsCorruption()) return st;  // damage: fail loudly
+        if (!st.ok() && member.ok()) member = st;
+      }
+      if (member.ok()) continue;
       torn = true;
       torn_id = info.id;
-      CALCDB_WARN("recovery.torn_checkpoint", "recovery", st.ToString(),
+      CALCDB_WARN("recovery.torn_checkpoint", "recovery", member.ToString(),
                   {"checkpoint_id", static_cast<int64_t>(info.id)});
       break;
     }
-    if (!torn) break;
+    if (!torn) return Status::OK();
     // Reject the torn checkpoint and everything after it: a later partial
     // layered onto the older surviving base would claim a too-new replay
     // LSN and silently lose the torn checkpoint's window of commits.
@@ -138,24 +113,136 @@ Status RecoveryManager::LoadCheckpoints(CheckpointStorage* storage,
     }
     candidates = std::move(kept);
   }
+}
 
-  // Apply checkpoints strictly in chain order (latest wins across
-  // checkpoints); within one checkpoint the segment files hold disjoint
-  // keys, so the worker pool loads them concurrently.
-  std::atomic<uint64_t> entries_applied{0};
-  for (const CheckpointInfo& info : chain) {
-    std::vector<std::string> files = info.files();
-    CALCDB_RETURN_NOT_OK(ForEachFileParallel(
-        files, load_threads, [&](const std::string& path) -> Status {
-          return ApplyCheckpointFile(path, store, &entries_applied);
-        }));
-    stats->segments_loaded += files.size();
-    CALCDB_COUNTER_ADD("calcdb.recovery.segments_loaded", files.size());
-    ++stats->checkpoints_loaded;
-    stats->replay_from_lsn = info.vpoc_lsn;
-    stats->last_checkpoint_id = info.id;
+/// One store shard's side of the apply-once fold. The chain is walked
+/// newest-first, and the first entry seen for a key claims it: later
+/// (older) entries for the key are skipped. Claims live here, not in the
+/// store, so keys the store held before recovery behave as they always
+/// did: the chain's newest entry for them wins, and the rest stay.
+class ShardFold {
+ public:
+  ShardFold(KVStore* shard, ValuePool* pool)
+      : shard_(shard), pool_(pool), claimed_(shard->max_records()) {}
+
+  Status Apply(const CheckpointEntryView& entry) {
+    read_bytes_ += sizeof(entry.key) + entry.value.size();
+    Record* rec = entry.tombstone ? shard_->Find(entry.key)
+                                  : shard_->FindOrCreate(entry.key);
+    if (rec == nullptr) {
+      if (!entry.tombstone) {
+        return Status::Busy("store at max_records capacity");
+      }
+      // No slot to claim: claim the key itself. Deleting an absent key is
+      // a no-op, as a partial may tombstone a record the base never held.
+      Count(tombstoned_.insert(entry.key).second);
+      return Status::OK();
+    }
+    // A key that a newer tombstone claimed while it had no slot stays
+    // deleted.
+    bool fresh = !claimed_[rec->index] && tombstoned_.count(entry.key) == 0;
+    claimed_[rec->index] = true;
+    Count(fresh);
+    if (!fresh) return Status::OK();
+    Value* v = entry.tombstone ? nullptr : Value::Create(entry.value, pool_);
+    SpinLatchGuard guard(rec->latch);
+    if (v != nullptr || Record::IsRealValue(rec->live)) {
+      shard_->ReplaceLive(*rec, v);
+    }
+    return Status::OK();
   }
-  stats->entries_applied += entries_applied.load(std::memory_order_relaxed);
+
+  uint64_t applied() const { return applied_; }
+  uint64_t skipped() const { return skipped_; }
+  uint64_t read_bytes() const { return read_bytes_; }
+
+ private:
+  void Count(bool applied) { ++(applied ? applied_ : skipped_); }
+
+  KVStore* shard_;
+  ValuePool* pool_;
+  std::vector<bool> claimed_;                // by slot index
+  std::unordered_set<uint64_t> tombstoned_;  // claimed keys with no slot
+  uint64_t applied_ = 0;
+  uint64_t skipped_ = 0;
+  uint64_t read_bytes_ = 0;
+};
+
+/// The apply-once fold of a validated chain: every file of every member,
+/// newest member first, on the caller's thread. Each entry goes to its
+/// key's shard, whatever the segment layout (one file, segment K = shard
+/// K, or slot-sliced segments).
+Status FoldChain(const std::vector<CheckpointInfo>& chain,
+                 ShardedStore* store, std::vector<ShardFold>* folds) {
+  for (uint32_t s = 0; s < store->num_shards(); ++s) {
+    folds->emplace_back(store->shard(s), store->pool());
+  }
+  for (size_t i = chain.size(); i-- > 0;) {
+    for (const std::string& path : chain[i].files()) {
+      CheckpointFileReader reader;
+      CALCDB_RETURN_NOT_OK(reader.Open(path));
+      CALCDB_RETURN_NOT_OK(
+          reader.Scan([&](const CheckpointEntryView& entry) -> Status {
+            return (*folds)[store->ShardOf(entry.key)].Apply(entry);
+          }));
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+int RecoveryManager::LoadThreads() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    int n = CPU_COUNT(&set);
+    if (n > 0) return n;
+  }
+  unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
+}
+
+Status RecoveryManager::LoadCheckpoints(CheckpointStorage* storage,
+                                        ShardedStore* store,
+                                        RecoveryStats* stats) {
+  Stopwatch sw;
+  CALCDB_TRACE_SPAN(load_span, "load_checkpoints", "recovery", 0);
+  const int threads = LoadThreads();
+
+  // Validate the whole chain before applying anything: a torn segment
+  // must reject its checkpoint before any sibling segment touches the
+  // store, and rejection shortens the chain.
+  std::vector<CheckpointInfo> chain;
+  CALCDB_RETURN_NOT_OK(ValidateChain(storage, threads, stats, &chain));
+  stats->validate_micros = sw.ElapsedMicros();
+  CALCDB_COUNTER_ADD("calcdb.recovery.validate_us", stats->validate_micros);
+  if (chain.empty()) {
+    stats->load_micros = sw.ElapsedMicros();
+    return Status::OK();
+  }
+
+  std::vector<ShardFold> folds;
+  Status st = FoldChain(chain, store, &folds);
+  uint64_t applied = 0, skipped = 0, read_bytes = 0;
+  for (const ShardFold& fold : folds) {
+    applied += fold.applied();
+    skipped += fold.skipped();
+    read_bytes += fold.read_bytes();
+  }
+  stats->entries_applied += applied;
+  CALCDB_COUNTER_ADD("calcdb.recovery.entries_applied", applied);
+  CALCDB_COUNTER_ADD("calcdb.recovery.entries_skipped", skipped);
+  CALCDB_COUNTER_ADD("calcdb.recovery.checkpoint_read_bytes", read_bytes);
+  CALCDB_RETURN_NOT_OK(st);
+
+  uint64_t segments = 0;
+  for (const CheckpointInfo& info : chain) segments += info.files().size();
+  stats->segments_loaded += segments;
+  CALCDB_COUNTER_ADD("calcdb.recovery.segments_loaded", segments);
+  stats->checkpoints_loaded += chain.size();
+  stats->replay_from_lsn = chain.back().vpoc_lsn;
+  stats->last_checkpoint_id = chain.back().id;
   stats->load_micros = sw.ElapsedMicros();
   return Status::OK();
 }
@@ -272,8 +359,8 @@ Status RecoveryManager::Recover(CheckpointStorage* storage,
                                 const CommitLog& log,
                                 const ProcedureRegistry& registry,
                                 ShardedStore* store, RecoveryStats* stats,
-                                int load_threads, int replay_threads) {
-  CALCDB_RETURN_NOT_OK(LoadCheckpoints(storage, store, stats, load_threads));
+                                int replay_threads) {
+  CALCDB_RETURN_NOT_OK(LoadCheckpoints(storage, store, stats));
   return ReplayLog(log, registry, store, stats, replay_threads);
 }
 

@@ -29,9 +29,10 @@ struct RecoveryStats {
   uint64_t checkpoints_loaded = 0;
   uint64_t checkpoints_rejected = 0;  ///< torn (crash-artifact) checkpoints
   uint64_t segments_loaded = 0;       ///< checkpoint files applied
-  uint64_t entries_applied = 0;
+  uint64_t entries_applied = 0;  ///< distinct keys the chain fold applied
   uint64_t txns_replayed = 0;
   int64_t load_micros = 0;    ///< checkpoint chain load + merge time
+  int64_t validate_micros = 0;  ///< the validation share of load_micros
   int64_t replay_micros = 0;  ///< deterministic command replay time
   uint64_t replay_from_lsn = 0;
   uint64_t last_checkpoint_id = 0;  ///< id of the last applied checkpoint
@@ -49,10 +50,10 @@ struct RecoveryStats {
   std::vector<GenerationReplay> generations;
 };
 
-/// Recovery (paper §3): load the newest full checkpoint, apply every later
-/// partial in order (latest wins, tombstones delete), then deterministically
-/// replay the command log's committed transactions from the loaded
-/// checkpoint's point of consistency onward.
+/// Recovery (paper §3): load the newest full checkpoint and every later
+/// partial (each key at its newest version, tombstones delete), then
+/// deterministically replay the command log's committed transactions from
+/// the loaded checkpoint's point of consistency onward.
 ///
 /// Replay correctness rests on two properties of this engine: strict 2PL
 /// makes the commit-token order consistent with the serialization order
@@ -61,26 +62,32 @@ struct RecoveryStats {
 /// re-execution in commit order reproduces the pre-crash state exactly.
 class RecoveryManager {
  public:
-  /// Loads the manifest's recovery chain into `store` (which should be
-  /// empty). Sets `*replay_from_lsn` to the last loaded checkpoint's
-  /// point-of-consistency LSN (0 with no checkpoints).
+  /// Loads the manifest's recovery chain into `store`. Sets
+  /// `stats->replay_from_lsn` and `last_checkpoint_id` from the newest
+  /// chain member (the replay LSN stays 0 with no checkpoints).
   ///
-  /// Every chain member is validated (all segment footers + CRCs) before
-  /// anything is applied. A checkpoint with a torn file — a short read,
-  /// the signature of a crash mid-write or mid-truncation — is rejected
-  /// together with every later checkpoint, and the chain is recomputed
-  /// from the surviving prefix; command-log replay from the older point
-  /// of consistency re-covers the discarded window. A checkpoint whose
-  /// bytes are present but wrong (CRC / entry-count mismatch) fails
-  /// loudly with Corruption: that is damage, not a crash artifact.
+  /// Every file of every chain member is validated (footer, count, CRC)
+  /// on one worker pool before anything is applied. A checkpoint with a
+  /// torn file — a short read, the signature of a crash mid-write or
+  /// mid-truncation — is rejected together with every later checkpoint,
+  /// and the chain is recomputed from the surviving prefix; command-log
+  /// replay from the older point of consistency re-covers the discarded
+  /// window. A checkpoint whose bytes are present but wrong (CRC /
+  /// entry-count mismatch) fails loudly with Corruption: that is damage,
+  /// not a crash artifact.
   ///
-  /// `load_threads > 1` loads the segment files of each checkpoint with a
-  /// parallel worker pool (segments of one checkpoint hold disjoint keys;
-  /// checkpoints still apply in chain order so latest-wins is preserved).
+  /// The chain is then applied once per key: walked newest-first, an
+  /// entry applies only if no newer checkpoint claimed its key (a
+  /// tombstone claims its key too), so `entries_applied` is the chain's
+  /// distinct keys. The fold runs on the caller's thread. A store that is
+  /// not empty keeps its keys the chain does not name.
   [[nodiscard]] static Status LoadCheckpoints(CheckpointStorage* storage,
                                               ShardedStore* store,
-                                              RecoveryStats* stats,
-                                              int load_threads = 1);
+                                              RecoveryStats* stats);
+
+  /// Workers the chain load uses: the cores this process may run on
+  /// (sched_getaffinity). Nothing else runs during recovery.
+  static int LoadThreads();
 
   /// Replays committed transactions with LSN > stats->replay_from_lsn.
   ///
@@ -124,7 +131,6 @@ class RecoveryManager {
                                       const CommitLog& log,
                                       const ProcedureRegistry& registry,
                                       ShardedStore* store, RecoveryStats* stats,
-                                      int load_threads = 1,
                                       int replay_threads = 1);
 };
 

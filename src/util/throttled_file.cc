@@ -214,12 +214,26 @@ SequentialFileReader::~SequentialFileReader() {
   (void)Close();
 }
 
-Status SequentialFileReader::Open(const std::string& path) {
+Status SequentialFileReader::OpenFile(const std::string& path) {
   if (file_ != nullptr) return Status::InvalidArgument("already open");
   file_ = std::fopen(path.c_str(), "rb");
   if (file_ == nullptr) {
     return Status::IOError("open " + path + ": " + std::strerror(errno));
   }
+  bytes_read_ = 0;
+  return Status::OK();
+}
+
+Status SequentialFileReader::OpenUnbuffered(const std::string& path) {
+  CALCDB_RETURN_NOT_OK(OpenFile(path));
+  // Best-effort, like the read-ahead buffer below: a failed setvbuf only
+  // costs the extra copy through the libc default buffer.
+  std::setvbuf(file_, nullptr, _IONBF, 0);
+  return Status::OK();
+}
+
+Status SequentialFileReader::Open(const std::string& path) {
+  CALCDB_RETURN_NOT_OK(OpenFile(path));
   // Best-effort: a failed setvbuf just leaves the libc default buffer.
   read_ahead_buf_ = static_cast<char*>(std::malloc(kReadAheadBytes));
   if (read_ahead_buf_ != nullptr &&
@@ -227,7 +241,6 @@ Status SequentialFileReader::Open(const std::string& path) {
     std::free(read_ahead_buf_);
     read_ahead_buf_ = nullptr;
   }
-  bytes_read_ = 0;
   return Status::OK();
 }
 

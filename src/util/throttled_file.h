@@ -148,6 +148,12 @@ class SequentialFileReader {
   /// of one per libc BUFSIZ.
   [[nodiscard]] Status Open(const std::string& path);
 
+  /// Opens `path` without a stdio buffer, for callers that read in
+  /// their own large blocks (CheckpointFileReader): every Read is read(2)
+  /// straight into the caller's memory, with no second copy and no
+  /// second buffer.
+  [[nodiscard]] Status OpenUnbuffered(const std::string& path);
+
   /// Reads exactly `n` bytes. Returns IOError on short read / EOF.
   [[nodiscard]] Status ReadExact(void* out, size_t n);
 
@@ -160,6 +166,8 @@ class SequentialFileReader {
   uint64_t bytes_read() const { return bytes_read_; }
 
  private:
+  [[nodiscard]] Status OpenFile(const std::string& path);
+
   std::FILE* file_ = nullptr;
   uint64_t bytes_read_ = 0;
   char* read_ahead_buf_ = nullptr;  // owned; freed after fclose

@@ -3,7 +3,10 @@
 
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include <unistd.h>
 
 #include "checkpoint/ckpt_file.h"
 #include "checkpoint/ckpt_storage.h"
@@ -11,6 +14,8 @@
 #include "checkpoint/merger.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
+#include "util/clock.h"
+#include "util/rng.h"
 
 namespace calcdb {
 namespace {
@@ -33,16 +38,17 @@ TEST(CheckpointFileTest, WriteReadRoundtrip) {
   EXPECT_EQ(reader.type(), CheckpointType::kFull);
   EXPECT_EQ(reader.id(), 3u);
   EXPECT_EQ(reader.vpoc_lsn(), 77u);
-  CheckpointEntry entry;
-  bool eof = false;
-  ASSERT_TRUE(reader.Next(&entry, &eof).ok());
-  ASSERT_FALSE(eof);
-  EXPECT_EQ(entry.key, 1u);
-  EXPECT_EQ(entry.value, "one");
-  ASSERT_TRUE(reader.Next(&entry, &eof).ok());
-  EXPECT_EQ(entry.value.size(), 1000u);
-  ASSERT_TRUE(reader.Next(&entry, &eof).ok());
-  EXPECT_TRUE(eof);
+  std::vector<CheckpointEntry> entries;
+  ASSERT_TRUE(reader
+                  .ReadAll([&](const CheckpointEntry& e) -> Status {
+                    entries.push_back(e);
+                    return Status::OK();
+                  })
+                  .ok());
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].key, 1u);
+  EXPECT_EQ(entries[0].value, "one");
+  EXPECT_EQ(entries[1].value.size(), 1000u);
 }
 
 TEST(CheckpointFileTest, Tombstones) {
@@ -245,6 +251,168 @@ TEST(CheckpointFileTest, UnsupportedVersionRejected) {
   fclose(f);
   CheckpointFileReader reader;
   EXPECT_TRUE(reader.Open(path).IsCorruption());
+}
+
+// Reads every entry of `path` and returns the status the scan ended with
+// (OK only when the footer validated).
+Status ScanFile(const std::string& path) {
+  CheckpointFileReader reader;
+  CALCDB_RETURN_NOT_OK(reader.Open(path));
+  return reader.Scan(
+      [](const CheckpointEntryView&) -> Status { return Status::OK(); });
+}
+
+void TruncateTo(const std::string& path, uint64_t size) {
+  ASSERT_EQ(::truncate(path.c_str(), static_cast<off_t>(size)), 0);
+}
+
+// The reader decodes 1 MiB blocks in place. Entries of every size land
+// across block boundaries, and one value is larger than a whole block;
+// Scan and ReadAll must both return exactly what was written.
+TEST(CheckpointFileTest, BlockDecoderStraddlesBlocksAndLargeValues) {
+  TempDir dir;
+  std::string path = dir.path() + "/ckpt";
+  constexpr size_t kBlock = 1 << 20;
+  std::vector<CheckpointEntry> written;
+  Rng rng(5);
+  CheckpointFileWriter writer;
+  ASSERT_TRUE(writer.Open(path, CheckpointType::kPartial, 4, 8, 0).ok());
+  for (uint64_t key = 0; writer.bytes_written() < 3 * kBlock; ++key) {
+    CheckpointEntry e;
+    e.key = key;
+    e.tombstone = rng.Uniform(9) == 0;
+    if (!e.tombstone) {
+      size_t len = key == 2000 ? kBlock + kBlock / 3  // larger than a block
+                               : static_cast<size_t>(rng.Uniform(700));
+      e.value = std::string(len, static_cast<char>('a' + key % 26));
+      if (len > 0) e.value[len / 2] = static_cast<char>(key);
+    }
+    ASSERT_TRUE((e.tombstone ? writer.AppendTombstone(e.key)
+                             : writer.Append(e.key, e.value))
+                    .ok());
+    written.push_back(std::move(e));
+  }
+  ASSERT_TRUE(writer.Finish().ok());
+  ASSERT_GT(written.size(), 2000u);
+
+  auto same = [&](size_t i, uint64_t key, bool tombstone,
+                  std::string_view value) {
+    ASSERT_LT(i, written.size());
+    EXPECT_EQ(key, written[i].key);
+    EXPECT_EQ(tombstone, written[i].tombstone);
+    EXPECT_TRUE(value == written[i].value) << "entry " << i;
+  };
+  {
+    CheckpointFileReader reader;
+    ASSERT_TRUE(reader.Open(path).ok());
+    size_t i = 0;
+    ASSERT_TRUE(reader
+                    .Scan([&](const CheckpointEntryView& e) -> Status {
+                      same(i++, e.key, e.tombstone, e.value);
+                      return Status::OK();
+                    })
+                    .ok());
+    EXPECT_EQ(i, written.size());
+  }
+  {
+    CheckpointFileReader reader;
+    ASSERT_TRUE(reader.Open(path).ok());
+    size_t i = 0;
+    ASSERT_TRUE(reader
+                    .ReadAll([&](const CheckpointEntry& e) -> Status {
+                      same(i++, e.key, e.tombstone, e.value);
+                      return Status::OK();
+                    })
+                    .ok());
+    EXPECT_EQ(i, written.size());
+  }
+
+  // Cut inside the large value and around the block boundaries: torn.
+  uint64_t size = testing_util::FileSize(path);
+  for (uint64_t cut : {uint64_t{kBlock - 1}, uint64_t{kBlock},
+                       uint64_t{kBlock + 1}, uint64_t{2 * kBlock + 3},
+                       size - 1}) {
+    std::string copy = dir.path() + "/cut";
+    std::string bytes = ReadFileBytes(path);
+    FILE* f = fopen(copy.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(fwrite(bytes.data(), 1, cut, f), cut);
+    fclose(f);
+    EXPECT_TRUE(ScanFile(copy).IsIOError()) << "cut at " << cut;
+  }
+}
+
+// A file cut anywhere in its last 64 KiB is torn (IOError), never
+// Corruption, never a crash. Every offset of the last 2 KiB (the last
+// entries and the footer) is cut; the rest of the 64 KiB at a stride
+// that lands in every part of an entry.
+TEST(CheckpointFileTest, BlockDecoderTruncationIsTorn) {
+  TempDir dir;
+  std::string path = dir.path() + "/ckpt";
+  CheckpointFileWriter writer;
+  ASSERT_TRUE(writer.Open(path, CheckpointType::kPartial, 1, 0, 0).ok());
+  for (uint64_t key = 0; writer.bytes_written() < 72 * 1024; ++key) {
+    ASSERT_TRUE((key % 7 == 3 ? writer.AppendTombstone(key)
+                              : writer.Append(key, std::string(key % 61, 'x')))
+                    .ok());
+  }
+  ASSERT_TRUE(writer.Finish().ok());
+  uint64_t size = testing_util::FileSize(path);
+  ASSERT_TRUE(ScanFile(path).ok());
+  // Shrinking one file in place visits the cuts from the end down.
+  for (uint64_t cut = size - 1; cut + 64 * 1024 >= size;
+       cut -= cut + 2 * 1024 >= size ? 1 : 37) {
+    TruncateTo(path, cut);
+    Status st = ScanFile(path);
+    ASSERT_TRUE(st.IsIOError()) << "cut at " << cut << ": " << st.ToString();
+  }
+}
+
+// Any flipped byte after the header fails the scan without a crash, and
+// a flipped key or value byte is Corruption (the CRC covers them).
+TEST(CheckpointFileTest, BlockDecoderFlippedByteIsCorruption) {
+  TempDir dir;
+  std::string path = dir.path() + "/ckpt";
+  constexpr uint64_t kHeader = 29;
+  std::vector<bool> crc_covered;  // by file offset: key or value byte
+  {
+    CheckpointFileWriter writer;
+    ASSERT_TRUE(writer.Open(path, CheckpointType::kPartial, 1, 0, 0).ok());
+    crc_covered.assign(kHeader, false);
+    for (uint64_t key = 0; key < 60; ++key) {
+      if (key % 5 == 4) {
+        ASSERT_TRUE(writer.AppendTombstone(key).ok());
+        crc_covered.insert(crc_covered.end(), 8, true);   // key
+        crc_covered.push_back(false);                     // flags
+      } else {
+        std::string value(key % 23, static_cast<char>('A' + key % 26));
+        ASSERT_TRUE(writer.Append(key, value).ok());
+        crc_covered.insert(crc_covered.end(), 8, true);   // key
+        crc_covered.insert(crc_covered.end(), 5, false);  // flags, len
+        crc_covered.insert(crc_covered.end(), value.size(), true);
+      }
+    }
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  const std::string good = ReadFileBytes(path);
+  ASSERT_EQ(good.size(), crc_covered.size() + 21);  // + footer
+  std::string flipped = dir.path() + "/flipped";
+  for (uint64_t off = kHeader; off < good.size(); ++off) {
+    std::string bytes = good;
+    bytes[off] = static_cast<char>(bytes[off] ^ 0x5a);
+    FILE* f = fopen(flipped.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    fclose(f);
+    Status st = ScanFile(flipped);
+    EXPECT_FALSE(st.ok()) << "flip at " << off;
+    bool covered = off < crc_covered.size() ? crc_covered[off]
+                                            : off >= good.size() - 12;
+    if (covered) {  // a key/value byte, or the footer's count or crc
+      EXPECT_TRUE(st.IsCorruption()) << "flip at " << off << ": "
+                                     << st.ToString();
+    }
+  }
 }
 
 TEST(CheckpointStorageTest, RegisterListAndChain) {
@@ -469,6 +637,19 @@ TEST(MergerTest, CollapseRespectsBatchLimit) {
   testing_util::StateMap merged;
   ASSERT_TRUE(testing_util::ChainToMap(chain, &merged).ok());
   EXPECT_EQ(merged.size(), 6u);
+}
+
+// StopBackground wakes the poll wait instead of sleeping it out.
+TEST(MergerTest, StopBackgroundDoesNotWaitOutThePoll) {
+  TempDir dir;
+  CheckpointStorage storage(dir.path(), 0);
+  ASSERT_TRUE(storage.Init().ok());
+  CheckpointMerger merger(&storage);
+  merger.StartBackground(/*trigger_batch=*/1, /*poll_ms=*/1000);
+  SleepMicros(50 * 1000);  // let the thread reach its wait
+  Stopwatch sw;
+  merger.StopBackground();
+  EXPECT_LT(sw.ElapsedMicros(), 100 * 1000);
 }
 
 TEST(MergerTest, NothingToMerge) {

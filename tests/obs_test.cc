@@ -65,6 +65,10 @@ TEST(MetricsRegistryTest, SnapshotUnderConcurrentWriters) {
   const int kThreads = 4;
   const uint64_t kPerThread = ScaledThreshold(50000, 1000);
   std::atomic<bool> stop{false};
+  // Registered up front: a snapshot taken before any writer ran would
+  // otherwise be empty, and the snapshotter checks that it is not.
+  registry.GetCounter("calcdb.test.commits");
+  registry.GetHistogram("calcdb.test.lat_us");
   std::vector<std::thread> writers;
   writers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {

@@ -46,6 +46,15 @@ ISSUE/CONTRIBUTING "Correctness tooling"):
                           memory_order_relaxed. Acquire/release is allowed
                           for loads/stores/exchange (the trace-ring seqlock
                           and reporter-thread handshakes need it).
+  seqlock-payload-order   In a seqlock (an atomic named seq*), payload
+                          atomics stored between the writer's two sequence
+                          stores must be release stores, and payload
+                          atomics loaded between the reader's two sequence
+                          loads must be acquire loads. Relaxed payload
+                          accesses may be reordered past the sequence word
+                          on a weakly ordered CPU (ARM), so a reader can
+                          accept a torn record (H.-J. Boehm, MSPC 2012).
+                          x86 hides the bug and TSan cannot see it.
   crash-point-registered  Every name passed to CALCDB_CRASH_POINT /
                           CALCDB_FAULT_STATUS / CALCDB_FAULT_POINT must
                           appear in the registry in
@@ -313,6 +322,53 @@ def check_obs_relaxed(path, code, raw_lines):
     return findings
 
 
+SEQ_ACCESS_RE = re.compile(r"\bseq\w*\s*(?:\.|->)\s*(store|load)\s*\(")
+PAYLOAD_ACCESS_RE = re.compile(r"(?:\.|->)\s*(store|load)\s*\(")
+PAYLOAD_ORDER = {"store": "memory_order_release",
+                 "load": "memory_order_acquire"}
+
+
+def leaves_block(code, start, end):
+    """True when code[start:end] closes a brace it did not open, i.e. the
+    span runs out of the enclosing block (into another function)."""
+    depth = 0
+    for c in code[start:end]:
+        if c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+            if depth < 0:
+                return True
+    return False
+
+
+def check_seqlock_payload(path, code, raw_lines):
+    findings = []
+    seqs = list(SEQ_ACCESS_RE.finditer(code))
+    for first, second in zip(seqs, seqs[1:]):
+        op = first.group(1)
+        if second.group(1) != op or leaves_block(code, first.end(),
+                                                 second.start()):
+            continue
+        for m in PAYLOAD_ACCESS_RE.finditer(code, first.end(),
+                                            second.start()):
+            if m.group(1) != op:
+                continue
+            args = call_args(code, code.index("(", m.end() - 1))
+            if args is None or PAYLOAD_ORDER[op] in args:
+                continue
+            lineno = line_of(code, m.start())
+            if waived(raw_lines, lineno, "seqlock-payload-order"):
+                continue
+            findings.append(Finding(
+                path, lineno, "seqlock-payload-order",
+                f"seqlock payload {op} between two sequence {op}s must be "
+                f"{PAYLOAD_ORDER[op]}: a weaker payload {op} can be "
+                "reordered past the sequence word on a weakly ordered CPU, "
+                "so the reader accepts a torn record"))
+    return findings
+
+
 def receiver_is_indexed(code, match_start):
     """True when the lock call's receiver is an indexed array element
     (a per-shard / striped latch array: stripes_[shard][stripe].Lock()).
@@ -504,6 +560,7 @@ def lint_file(path, root):
     findings += check_header_guard(path, code, raw_lines, root)
     findings += check_include_hygiene(path, code, raw_lines)
     findings += check_obs_relaxed(path, code, raw_lines)
+    findings += check_seqlock_payload(path, code, raw_lines)
     findings += check_crash_point_registered(path, code, raw_lines, root)
     return findings
 
@@ -601,6 +658,29 @@ SELF_TEST_CASES = [
      "  (void)was;\n}\n"),
     ("obs-relaxed-order", False, "txn/e.cc",
      "void F() { c_.fetch_add(1, std::memory_order_seq_cst); }\n"),
+    ("seqlock-payload-order", True, "obs/g.h",
+     "void W(Slot& s, uint64_t t, uint64_t v) {\n"
+     "  s.seq.store(2 * t + 1, std::memory_order_release);\n"
+     "  s.word.store(v, std::memory_order_relaxed);\n"
+     "  s.seq.store(2 * t + 2, std::memory_order_release);\n}\n"),
+    ("seqlock-payload-order", True, "obs/g.h",
+     "bool R(const Slot& s, uint64_t* v) {\n"
+     "  uint64_t s1 = s.seq.load(std::memory_order_acquire);\n"
+     "  *v = s.word.load(std::memory_order_relaxed);\n"
+     "  return s1 == s.seq.load(std::memory_order_acquire);\n}\n"),
+    ("seqlock-payload-order", False, "obs/g.h",
+     "void W(Slot& s, uint64_t t, uint64_t v) {\n"
+     "  s.seq.store(2 * t + 1, std::memory_order_release);\n"
+     "  s.word.store(v, std::memory_order_release);\n"
+     "  s.seq.store(2 * t + 2, std::memory_order_release);\n}\n"
+     "bool R(const Slot& s, uint64_t* v) {\n"
+     "  uint64_t s1 = s.seq.load(std::memory_order_acquire);\n"
+     "  *v = s.word.load(std::memory_order_acquire);\n"
+     "  return s1 == s.seq.load(std::memory_order_acquire);\n}\n"),
+    ("seqlock-payload-order", False, "obs/g.h",
+     "void Reset() { slot.seq.store(0, std::memory_order_release); }\n"
+     "void Next() {\n  head_.store(0, std::memory_order_relaxed);\n"
+     "  slot.seq.store(1, std::memory_order_release);\n}\n"),
     ("crash-point-registered", True, "checkpoint/f.cc",
      'void F() { CALCDB_CRASH_POINT("never.registered"); }\n'),
     ("crash-point-registered", True, "checkpoint/f.cc",
@@ -658,7 +738,7 @@ def self_test():
 CONCURRENCY_RULES = {
     "atomic-explicit-order", "refcount-acq-rel", "naked-lock",
     "phase-token-latch", "header-guard", "include-hygiene",
-    "obs-relaxed-order", "crash-point-registered",
+    "obs-relaxed-order", "seqlock-payload-order", "crash-point-registered",
 }
 
 EXPECT_RE = re.compile(r"expect-lint:\s*([\w\- ]+)")

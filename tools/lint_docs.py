@@ -34,7 +34,6 @@ import tempfile
 # Options fields may appear too (they are validated the same way).
 REQUIRED_OPTIONS = [
     "checkpoint_dir",
-    "recovery_threads",
     "replay_threads",
     "storage_shards",
     "command_log_path",
@@ -182,7 +181,6 @@ CHECKS = {
 GOOD_OPTIONS = """\
 struct Options {
   std::string checkpoint_dir = "/tmp/x";
-  int recovery_threads = 0;
   int replay_threads = 0;
   int storage_shards = 0;
   std::string command_log_path;
@@ -194,7 +192,6 @@ GOOD_DOC = """\
 | Option | Default | Role |
 |---|---|---|
 | `checkpoint_dir` | `"/tmp/x"` | d |
-| `recovery_threads` | `0` | d |
 | `replay_threads` | `0` | d |
 | `storage_shards` | `0` | d |
 | `command_log_path` | `""` | d |

@@ -18,7 +18,9 @@ Checks, per snapshot object:
     with p50 <= p99 <= p999 <= max whenever count > 0;
   * the schema's required_* metric names are present (CI's smoke-run
     guard: an instrumentation layer that silently stops exporting fails
-    the build rather than flat-lining a dashboard).
+    the build rather than flat-lining a dashboard);
+  * a name in the schema's known_counters, when present, is a counter
+    (the layer may not have run, so absence is fine).
 
 Stdlib only — runs anywhere CI has a python3.
 
@@ -146,6 +148,11 @@ def validate_snapshot(snap, schema, where):
     for name in schema.get("required_histograms", ()):
         if name not in snap["histograms"]:
             err(f"required histogram '{name}' absent")
+    for name in schema.get("known_counters", {}).get("names", ()):
+        for section in ("gauges", "histograms"):
+            if name in snap[section]:
+                err(f"known counter '{name}' exported as a "
+                    f"{section[:-1]}")
     return errors
 
 
@@ -166,7 +173,8 @@ def validate_file(path, schema):
 GOOD = {
     "meta": {"bench": "fig2_full_microbench", "ts_us": "12345"},
     "counters": {"calcdb.txn.committed": 100, "calcdb.log.appends": 100,
-                 "calcdb.ckpt.CALC.cycles": 2},
+                 "calcdb.ckpt.CALC.cycles": 2,
+                 "calcdb.recovery.entries_skipped": 7},
     "gauges": {"calcdb.memory.value_bytes": 4096,
                "calcdb.log.resident_bytes": 262144},
     "histograms": {
@@ -192,6 +200,10 @@ SELF_TEST_CASES = [
         {"p50_us": 99}), d)[1]),
     (False, lambda d: (d["histograms"].pop("calcdb.txn.lock_wait_us"), d)[1]),
     (False, lambda d: (d["gauges"].pop("calcdb.log.resident_bytes"), d)[1]),
+    (True, lambda d: (d["counters"].pop(
+        "calcdb.recovery.entries_skipped"), d)[1]),
+    (False, lambda d: (d["gauges"].update(
+        {"calcdb.recovery.validate_us": 5}), d)[1]),
 ]
 
 
