@@ -28,14 +28,17 @@ namespace {
 
 // Worst-case recovery merge: collapse the partial chain left on disk,
 // timed. Returns 0 when the background merger already collapsed
-// everything (chain length 1).
+// everything (chain length 1). The merge is laid out for the store
+// `config` ran (RunMicrobenchExperiment's max_records and shard count).
 int64_t MeasureRecoveryMergeMs(const std::string& dir,
+                               const RunConfig& config,
                                uint64_t* chain_len) {
   CheckpointStorage storage(dir, 0);
   *chain_len = 0;
   if (!storage.Init().ok() || !storage.LoadManifest().ok()) return -1;
   *chain_len = storage.RecoveryChain().size();
-  CheckpointMerger merger(&storage);
+  CheckpointMerger merger(&storage, config.micro.num_records + 1024,
+                          ShardedStore::ResolveShards(config.storage_shards));
   Stopwatch sw;
   bool did_merge = false;
   if (!merger.CollapseOnce(1000000, &did_merge).ok()) return -1;
@@ -136,7 +139,7 @@ int main(int argc, char** argv) {
 
       uint64_t chain_len = 0;
       int64_t recovery_ms =
-          MeasureRecoveryMergeMs(result.checkpoint_dir, &chain_len);
+          MeasureRecoveryMergeMs(result.checkpoint_dir, config, &chain_len);
       char label[64];
       std::snprintf(label, sizeof(label), "pCALC %2.0f%% batch=%zu",
                     skew * 100, batch);

@@ -170,7 +170,7 @@ void BM_CheckpointFileWrite(benchmark::State& state) {
     std::string path = "/tmp/calcdb_bench_ckptfile";
     state.ResumeTiming();
     CheckpointFileWriter writer;
-    writer.Open(path, CheckpointType::kFull, 1, 0, /*unthrottled*/ 0).ok();
+    writer.Open(path, CheckpointType::kFull, 1, 0, /*unthrottled*/ {}).ok();
     for (uint64_t k = 0; k < 10000; ++k) {
       writer.Append(k, value).ok();
     }

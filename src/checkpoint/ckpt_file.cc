@@ -11,12 +11,12 @@ namespace calcdb {
 
 namespace {
 
-constexpr char kMagic[8] = {'C', 'A', 'L', 'C', 'K', 'P', 'T', '1'};
-constexpr uint32_t kVersionCrc32 = 1;   ///< entry crc = CRC-32/ISO-HDLC
-constexpr uint32_t kVersionCrc32c = 2;  ///< entry crc = CRC-32C
-constexpr uint64_t kFooterKey = ~uint64_t{0};
-constexpr uint8_t kFooterFlags = 0xFF;
-constexpr uint8_t kTombstoneFlag = 0x01;
+using ckpt_format::kFooterFlags;
+using ckpt_format::kFooterKey;
+using ckpt_format::kMagic;
+using ckpt_format::kTombstoneFlag;
+using ckpt_format::kVersionCrc32;
+using ckpt_format::kVersionCrc32c;
 
 // Serialization block size: entries accumulate in an in-memory block
 // until it reaches this size, then the whole block goes to the file as
@@ -38,26 +38,6 @@ constexpr uint32_t kMaxValueBytes = 1u << 30;
 constexpr size_t kBatchEntries = 1024;
 
 }  // namespace
-
-Status CheckpointFileWriter::Open(const std::string& path,
-                                  CheckpointType type, uint64_t id,
-                                  uint64_t vpoc_lsn,
-                                  uint64_t max_bytes_per_sec) {
-  CheckpointWriterOptions options;
-  if (max_bytes_per_sec != 0) {
-    options.budget = std::make_shared<TokenBucket>(max_bytes_per_sec);
-  }
-  return Open(path, type, id, vpoc_lsn, std::move(options));
-}
-
-Status CheckpointFileWriter::Open(const std::string& path,
-                                  CheckpointType type, uint64_t id,
-                                  uint64_t vpoc_lsn,
-                                  std::shared_ptr<TokenBucket> budget) {
-  CheckpointWriterOptions options;
-  options.budget = std::move(budget);
-  return Open(path, type, id, vpoc_lsn, std::move(options));
-}
 
 Status CheckpointFileWriter::Open(const std::string& path,
                                   CheckpointType type, uint64_t id,

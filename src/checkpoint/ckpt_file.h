@@ -35,6 +35,19 @@ enum class CheckpointType : uint8_t {
 ///
 /// Tombstone entries appear only in partial checkpoints; they record
 /// deletions so that merging partials does not resurrect dead keys.
+///
+/// These constants are shared by the writer, the reader and the fork
+/// child's allocation-free writer (fork_snapshot.cc).
+namespace ckpt_format {
+inline constexpr char kMagic[8] = {'C', 'A', 'L', 'C', 'K', 'P', 'T', '1'};
+inline constexpr uint32_t kVersionCrc32 = 1;   ///< entry crc = CRC-32
+inline constexpr uint32_t kVersionCrc32c = 2;  ///< entry crc = CRC-32C
+inline constexpr uint64_t kFooterKey = ~uint64_t{0};
+inline constexpr uint8_t kFooterFlags = 0xFF;
+inline constexpr uint8_t kTombstoneFlag = 0x01;
+}  // namespace ckpt_format
+
+/// One checkpoint entry, owning its value.
 struct CheckpointEntry {
   uint64_t key = 0;
   bool tombstone = false;
@@ -63,18 +76,9 @@ class CheckpointFileWriter {
   CheckpointFileWriter(const CheckpointFileWriter&) = delete;
   CheckpointFileWriter& operator=(const CheckpointFileWriter&) = delete;
 
-  [[nodiscard]] Status Open(const std::string& path, CheckpointType type,
-                            uint64_t id, uint64_t vpoc_lsn,
-                            uint64_t max_bytes_per_sec);
-
-  /// As above, but drawing bandwidth from `budget` (which may be shared
-  /// with other writers — e.g. sibling segment writers of one parallel
-  /// capture — so the configured rate caps their combined output).
-  [[nodiscard]] Status Open(const std::string& path, CheckpointType type,
-                            uint64_t id, uint64_t vpoc_lsn,
-                            std::shared_ptr<TokenBucket> budget);
-
-  /// Full-control open; see CheckpointWriterOptions.
+  /// Creates `path` and writes the header; see CheckpointWriterOptions.
+  /// The engine opens every writer with CheckpointStorage::
+  /// writer_options(), so all checkpoint writers share one budget.
   [[nodiscard]] Status Open(const std::string& path, CheckpointType type,
                             uint64_t id, uint64_t vpoc_lsn,
                             CheckpointWriterOptions options);

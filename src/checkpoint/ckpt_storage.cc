@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 #include <sstream>
 #include <utility>
 
@@ -112,6 +113,12 @@ Status CheckpointStorage::ReplaceCollapsed(
               });
     checkpoints_ = std::move(kept);
   }
+  // Crash or failure here: the persisted manifest still lists the inputs,
+  // all of which still exist, so the old chain loads and the merged files
+  // are ignored orphans. Nothing is deleted until the manifest that drops
+  // the inputs is durable.
+  CALCDB_FAULT_POINT("merge.persist");
+  CALCDB_RETURN_NOT_OK(PersistManifest());
   for (const std::string& path : to_delete) {
     if (std::remove(path.c_str()) != 0) {
       // A failed delete only leaks a retired file — the manifest, not
@@ -127,6 +134,7 @@ Status CheckpointStorage::ReplaceCollapsed(
 }
 
 Status CheckpointStorage::PersistManifest() const {
+  std::lock_guard<std::mutex> lock(persist_mu_);
   std::string tmp = ManifestPath() + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "w");
   if (f == nullptr) return Status::IOError("open manifest tmp");

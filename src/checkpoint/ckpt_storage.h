@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -86,14 +87,19 @@ class CheckpointStorage {
   static std::vector<CheckpointInfo> ChainFrom(
       const std::vector<CheckpointInfo>& checkpoints);
 
-  /// Atomically replaces checkpoints `retired_ids` with `merged` in the
-  /// manifest and deletes the retired files. `merged` must already be
-  /// durable.
+  /// Replaces checkpoints `retired_ids` with `merged` in the manifest,
+  /// persists it, and only then deletes the retired files. `merged` must
+  /// already be durable. If the persist fails nothing is deleted: the
+  /// on-disk manifest still names the inputs, and the merged files are
+  /// orphans.
   [[nodiscard]] Status ReplaceCollapsed(
       const std::vector<uint64_t>& retired_ids,
       const CheckpointInfo& merged);
 
   /// Persists / reloads the manifest (for recovery across restarts).
+  /// Persists from different threads (a checkpoint cycle and the
+  /// background merger) run one at a time, each writing the list as of
+  /// its turn, so the last rename holds the newest list.
   [[nodiscard]] Status PersistManifest() const;
   [[nodiscard]] Status LoadManifest();
 
@@ -124,6 +130,7 @@ class CheckpointStorage {
   CheckpointWriterOptions writer_options_;
   std::atomic<uint64_t> next_id_{0};
 
+  mutable std::mutex persist_mu_;  // serializes PersistManifest
   mutable SpinLatch latch_;
   std::vector<CheckpointInfo> checkpoints_;
 };

@@ -8,6 +8,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "checkpoint/ckpt_file.h"
 #include "checkpoint/quiesce.h"
 #include "obs/obs.h"
 #include "util/clock.h"
@@ -18,10 +19,11 @@ namespace calcdb {
 
 namespace {
 
-constexpr char kMagic[8] = {'C', 'A', 'L', 'C', 'K', 'P', 'T', '1'};
-constexpr uint32_t kVersion = 1;
-constexpr uint64_t kFooterKey = ~uint64_t{0};
-constexpr uint8_t kFooterFlags = 0xFF;
+// The child writes format v1 (CRC-32).
+using ckpt_format::kFooterFlags;
+using ckpt_format::kFooterKey;
+using ckpt_format::kMagic;
+using ckpt_format::kVersionCrc32;
 
 /// Child-side buffered writer over a raw fd: fixed stack buffer, write()
 /// syscalls, optional byte-rate cap via nanosleep. No allocation.
@@ -102,7 +104,7 @@ int ForkSnapshotCheckpointer::ChildWriteSnapshot(int fd, uint64_t id,
                                                  uint64_t poc_lsn) {
   RawThrottledFd out(fd, engine_.ckpt_storage->disk_bytes_per_sec());
   if (!out.Append(kMagic, sizeof(kMagic))) return 2;
-  if (!out.Append(&kVersion, sizeof(kVersion))) return 2;
+  if (!out.Append(&kVersionCrc32, sizeof(kVersionCrc32))) return 2;
   uint8_t type = static_cast<uint8_t>(CheckpointType::kFull);
   if (!out.Append(&type, sizeof(type))) return 2;
   if (!out.Append(&id, sizeof(id))) return 2;

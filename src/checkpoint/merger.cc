@@ -1,14 +1,15 @@
 #include "checkpoint/merger.h"
 
+#include <algorithm>
 #include <chrono>
-#include <map>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "checkpoint/ckpt_file.h"
+#include "checkpoint/checkpointer.h"
 #include "obs/obs.h"
+#include "recovery/recovery_manager.h"
+#include "storage/sharded_store.h"
 #include "util/fault_injection.h"
 
 namespace calcdb {
@@ -21,68 +22,39 @@ Status CheckpointMerger::CollapseOnce(size_t max_partials,
   // empty-start chain — for collapsing to be worthwhile.
   if (chain.size() < 2) return Status::OK();
   CALCDB_TRACE_SPAN(merge_span, "merge", "ckpt", chain.size());
-  size_t take = chain.size() - 1;
-  if (take > max_partials) take = max_partials;
+  chain.resize(std::min(chain.size() - 1, max_partials) + 1);
 
-  // Latest-wins merge. std::map keeps keys ordered, which makes merged
-  // checkpoints deterministic byte-for-byte.
-  std::map<uint64_t, std::string> merged;
-  std::vector<uint64_t> retired;
-  for (size_t i = 0; i <= take; ++i) {
-    const CheckpointInfo& info = chain[i];
-    // Segments of one checkpoint hold disjoint key ranges, so reading
-    // them in file order preserves latest-wins semantics across the
-    // chain.
-    for (const std::string& file : info.files()) {
-      CheckpointFileReader reader;
-      CALCDB_RETURN_NOT_OK(reader.Open(file));
-      CALCDB_RETURN_NOT_OK(
-          reader.Scan([&](const CheckpointEntryView& entry) -> Status {
-            if (entry.tombstone) {
-              merged.erase(entry.key);
-            } else {
-              merged[entry.key].assign(entry.value);
-            }
-            return Status::OK();
-          }));
-    }
-    retired.push_back(info.id);
-  }
-  const CheckpointInfo& last = chain[take];
+  // Recovery's fold, into a private store: one thread, a fixed order, so
+  // the merged bytes are deterministic.
+  ShardedStore merged(max_records_, num_shards_);
+  ChainFoldStats fold;
+  CALCDB_RETURN_NOT_OK(RecoveryManager::FoldChain(chain, &merged, &fold));
 
   // The merged full checkpoint adopts the last input's identity: it
   // represents the database exactly as of that partial's point of
-  // consistency.
+  // consistency. No writer can race the private store, so the capture
+  // takes each live version in place.
+  EngineContext engine;
+  engine.store = &merged;
+  engine.ckpt_storage = storage_;
+  CaptureScan scan;
+  scan.id = chain.back().id;
+  scan.poc_lsn = chain.back().vpoc_lsn;
+  scan.limits = merged.SlotCounts();
   CheckpointInfo out;
-  out.id = last.id;
-  out.type = CheckpointType::kFull;
-  out.vpoc_lsn = last.vpoc_lsn;
-  out.path = storage_->PathFor(out.id, CheckpointType::kFull);
+  CheckpointCycleStats stats;
+  CALCDB_RETURN_NOT_OK(Checkpointer::CaptureCheckpoint(
+      engine, scan, /*version=*/nullptr, &out, &stats));
 
-  CheckpointFileWriter writer;
-  CALCDB_RETURN_NOT_OK(writer.Open(out.path, CheckpointType::kFull, out.id,
-                                   out.vpoc_lsn,
-                                   storage_->writer_options()));
-  for (const auto& [key, value] : merged) {
-    CALCDB_RETURN_NOT_OK(writer.Append(key, value));
-  }
-  CALCDB_RETURN_NOT_OK(writer.Finish());
-  out.num_entries = writer.entries_written();
-
-  // Crash before ReplaceCollapsed: the merged file exists but the on-disk
+  std::vector<uint64_t> retired;
+  for (const CheckpointInfo& info : chain) retired.push_back(info.id);
+  // Crash before ReplaceCollapsed: the merged files exist but the
   // manifest still lists the inputs — recovery uses the old chain.
   CALCDB_FAULT_POINT("merge.replace");
   CALCDB_RETURN_NOT_OK(storage_->ReplaceCollapsed(retired, out));
-  // Crash after ReplaceCollapsed deleted the retired files but before the
-  // manifest records the swap: the on-disk manifest lists files that no
-  // longer exist, recovery rejects them as torn and falls back (possibly
-  // all the way to log-only replay).
-  CALCDB_FAULT_POINT("merge.persist");
-  CALCDB_RETURN_NOT_OK(storage_->PersistManifest());
   merges_done_.fetch_add(1, std::memory_order_relaxed);
   CALCDB_COUNTER_ADD("calcdb.ckpt.merges", 1);
-  CALCDB_COUNTER_ADD("calcdb.ckpt.merge_entries_out",
-                     writer.entries_written());
+  CALCDB_COUNTER_ADD("calcdb.ckpt.merge_entries_out", out.num_entries);
   *did_merge = true;
   return Status::OK();
 }

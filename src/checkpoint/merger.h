@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <thread>
 
@@ -17,17 +18,27 @@ namespace calcdb {
 /// Collapsing merges the newest full checkpoint with the partial
 /// checkpoints that follow it — latest version wins per key, tombstones
 /// delete — producing a new full checkpoint that is "accurate as of the
-/// most recent partial checkpoint". The merged checkpoint takes over the
-/// *last input partial's id and point-of-consistency LSN*, so the manifest
-/// ordering (and hence the recovery chain) stays correct with respect to
-/// partials taken while the merge was running. Inputs are retired only
-/// after the merged checkpoint is durable: "old checkpoints are discarded
-/// only once they have been collapsed. Thus a system failure during the
+/// most recent partial checkpoint". It is recovery's apply-once fold
+/// (RecoveryManager::FoldChain) into a scratch store shaped like the live
+/// one, written back by the capture pipeline
+/// (Checkpointer::CaptureCheckpoint), so a merged checkpoint has the
+/// layout every capture has: segment K = shard K. The merged checkpoint
+/// takes over the *last input partial's id and point-of-consistency LSN*,
+/// so the manifest ordering (and hence the recovery chain) stays correct
+/// with respect to partials taken while the merge was running. Inputs are
+/// retired only after the merged checkpoint is durable and the persisted
+/// manifest no longer names them: "old checkpoints are discarded only
+/// once they have been collapsed. Thus a system failure during the
 /// collapsing process ... has no effect on durability."
 class CheckpointMerger {
  public:
-  explicit CheckpointMerger(CheckpointStorage* storage)
-      : storage_(storage) {}
+  /// `max_records` and `num_shards` are the live store's: the merged
+  /// checkpoint is laid out, and bounded, as a capture of it would be.
+  CheckpointMerger(CheckpointStorage* storage, uint64_t max_records,
+                   uint32_t num_shards)
+      : storage_(storage),
+        max_records_(max_records),
+        num_shards_(num_shards) {}
   ~CheckpointMerger() { StopBackground(); }
 
   CheckpointMerger(const CheckpointMerger&) = delete;
@@ -55,6 +66,8 @@ class CheckpointMerger {
 
  private:
   CheckpointStorage* storage_;
+  const uint64_t max_records_;
+  const uint32_t num_shards_;
   std::atomic<bool> running_{false};
   std::mutex stop_mu_;  // pairs running_'s clearing with stop_cv_
   std::condition_variable stop_cv_;

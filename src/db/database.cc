@@ -400,7 +400,8 @@ Status Database::Start() {
                                          checkpointer_.get(),
                                          &lock_manager_);
   if (options_.background_merge && checkpointer_->is_partial()) {
-    merger_ = std::make_unique<CheckpointMerger>(&ckpt_storage_);
+    merger_ = std::make_unique<CheckpointMerger>(
+        &ckpt_storage_, store_->max_records(), store_->num_shards());
     merger_->StartBackground(options_.merge_batch);
   }
   ConfigureHealthMonitor();

@@ -122,11 +122,14 @@ Status ValidateChain(CheckpointStorage* storage, int threads,
 /// did: the chain's newest entry for them wins, and the rest stay.
 class ShardFold {
  public:
-  ShardFold(KVStore* shard, ValuePool* pool)
-      : shard_(shard), pool_(pool), claimed_(shard->max_records()) {}
+  ShardFold(KVStore* shard, ValuePool* pool, ChainFoldStats* stats)
+      : shard_(shard),
+        pool_(pool),
+        stats_(stats),
+        claimed_(shard->max_records()) {}
 
   Status Apply(const CheckpointEntryView& entry) {
-    read_bytes_ += sizeof(entry.key) + entry.value.size();
+    stats_->read_bytes += sizeof(entry.key) + entry.value.size();
     Record* rec = entry.tombstone ? shard_->Find(entry.key)
                                   : shard_->FindOrCreate(entry.key);
     if (rec == nullptr) {
@@ -152,43 +155,17 @@ class ShardFold {
     return Status::OK();
   }
 
-  uint64_t applied() const { return applied_; }
-  uint64_t skipped() const { return skipped_; }
-  uint64_t read_bytes() const { return read_bytes_; }
-
  private:
-  void Count(bool applied) { ++(applied ? applied_ : skipped_); }
+  void Count(bool applied) {
+    ++(applied ? stats_->applied : stats_->skipped);
+  }
 
   KVStore* shard_;
   ValuePool* pool_;
+  ChainFoldStats* stats_;
   std::vector<bool> claimed_;                // by slot index
   std::unordered_set<uint64_t> tombstoned_;  // claimed keys with no slot
-  uint64_t applied_ = 0;
-  uint64_t skipped_ = 0;
-  uint64_t read_bytes_ = 0;
 };
-
-/// The apply-once fold of a validated chain: every file of every member,
-/// newest member first, on the caller's thread. Each entry goes to its
-/// key's shard, whatever the segment layout (one file, segment K = shard
-/// K, or slot-sliced segments).
-Status FoldChain(const std::vector<CheckpointInfo>& chain,
-                 ShardedStore* store, std::vector<ShardFold>* folds) {
-  for (uint32_t s = 0; s < store->num_shards(); ++s) {
-    folds->emplace_back(store->shard(s), store->pool());
-  }
-  for (size_t i = chain.size(); i-- > 0;) {
-    for (const std::string& path : chain[i].files()) {
-      CheckpointFileReader reader;
-      CALCDB_RETURN_NOT_OK(reader.Open(path));
-      CALCDB_RETURN_NOT_OK(
-          reader.Scan([&](const CheckpointEntryView& entry) -> Status {
-            return (*folds)[store->ShardOf(entry.key)].Apply(entry);
-          }));
-    }
-  }
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -222,18 +199,13 @@ Status RecoveryManager::LoadCheckpoints(CheckpointStorage* storage,
     return Status::OK();
   }
 
-  std::vector<ShardFold> folds;
-  Status st = FoldChain(chain, store, &folds);
-  uint64_t applied = 0, skipped = 0, read_bytes = 0;
-  for (const ShardFold& fold : folds) {
-    applied += fold.applied();
-    skipped += fold.skipped();
-    read_bytes += fold.read_bytes();
-  }
-  stats->entries_applied += applied;
-  CALCDB_COUNTER_ADD("calcdb.recovery.entries_applied", applied);
-  CALCDB_COUNTER_ADD("calcdb.recovery.entries_skipped", skipped);
-  CALCDB_COUNTER_ADD("calcdb.recovery.checkpoint_read_bytes", read_bytes);
+  ChainFoldStats fold;
+  Status st = FoldChain(chain, store, &fold);
+  stats->entries_applied += fold.applied;
+  CALCDB_COUNTER_ADD("calcdb.recovery.entries_applied", fold.applied);
+  CALCDB_COUNTER_ADD("calcdb.recovery.entries_skipped", fold.skipped);
+  CALCDB_COUNTER_ADD("calcdb.recovery.checkpoint_read_bytes",
+                     fold.read_bytes);
   CALCDB_RETURN_NOT_OK(st);
 
   uint64_t segments = 0;
@@ -244,6 +216,26 @@ Status RecoveryManager::LoadCheckpoints(CheckpointStorage* storage,
   stats->replay_from_lsn = chain.back().vpoc_lsn;
   stats->last_checkpoint_id = chain.back().id;
   stats->load_micros = sw.ElapsedMicros();
+  return Status::OK();
+}
+
+Status RecoveryManager::FoldChain(const std::vector<CheckpointInfo>& chain,
+                                  ShardedStore* store,
+                                  ChainFoldStats* stats) {
+  std::vector<ShardFold> folds;
+  for (uint32_t s = 0; s < store->num_shards(); ++s) {
+    folds.emplace_back(store->shard(s), store->pool(), stats);
+  }
+  for (size_t i = chain.size(); i-- > 0;) {
+    for (const std::string& path : chain[i].files()) {
+      CheckpointFileReader reader;
+      CALCDB_RETURN_NOT_OK(reader.Open(path));
+      CALCDB_RETURN_NOT_OK(
+          reader.Scan([&](const CheckpointEntryView& entry) -> Status {
+            return folds[store->ShardOf(entry.key)].Apply(entry);
+          }));
+    }
+  }
   return Status::OK();
 }
 

@@ -50,6 +50,13 @@ struct RecoveryStats {
   std::vector<GenerationReplay> generations;
 };
 
+/// What one apply-once chain fold (RecoveryManager::FoldChain) did.
+struct ChainFoldStats {
+  uint64_t applied = 0;     ///< distinct keys applied
+  uint64_t skipped = 0;     ///< entries a newer checkpoint had claimed
+  uint64_t read_bytes = 0;  ///< key and value bytes read
+};
+
 /// Recovery (paper §3): load the newest full checkpoint and every later
 /// partial (each key at its newest version, tombstones delete), then
 /// deterministically replay the command log's committed transactions from
@@ -76,14 +83,23 @@ class RecoveryManager {
   /// entry-count mismatch) fails loudly with Corruption: that is damage,
   /// not a crash artifact.
   ///
-  /// The chain is then applied once per key: walked newest-first, an
-  /// entry applies only if no newer checkpoint claimed its key (a
-  /// tombstone claims its key too), so `entries_applied` is the chain's
-  /// distinct keys. The fold runs on the caller's thread. A store that is
-  /// not empty keeps its keys the chain does not name.
+  /// The chain is then applied once per key (FoldChain), so
+  /// `entries_applied` is the chain's distinct keys.
   [[nodiscard]] static Status LoadCheckpoints(CheckpointStorage* storage,
                                               ShardedStore* store,
                                               RecoveryStats* stats);
+
+  /// The apply-once fold of `chain` (oldest member first) into `store`:
+  /// every file of every member, newest member first, on the caller's
+  /// thread. An entry applies only if no newer checkpoint claimed its key
+  /// (a tombstone claims its key too). Each entry goes to its key's shard,
+  /// whatever the segment layout. A store that is not empty keeps its
+  /// keys the chain does not name. Reads every file to its footer, so a
+  /// torn or damaged file fails the fold; records no metrics. The merger
+  /// folds into a scratch store with it.
+  [[nodiscard]] static Status FoldChain(
+      const std::vector<CheckpointInfo>& chain, ShardedStore* store,
+      ChainFoldStats* stats);
 
   /// Workers the chain load uses: the cores this process may run on
   /// (sched_getaffinity). Nothing else runs during recovery.

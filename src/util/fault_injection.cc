@@ -54,8 +54,8 @@ constexpr FaultPointInfo kRegistry[] = {
      "CheckpointMerger::CollapseOnce, before ReplaceCollapsed swaps the "
      "chain"},
     {"merge.persist",
-     "CheckpointMerger::CollapseOnce, after ReplaceCollapsed, before "
-     "PersistManifest"},
+     "CheckpointStorage::ReplaceCollapsed, after the in-memory chain swap, "
+     "before PersistManifest and the inputs' unlink"},
     {"base_ckpt.register",
      "Database::WriteBaseCheckpoint, after Finish, before Register + "
      "PersistManifest"},

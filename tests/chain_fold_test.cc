@@ -4,8 +4,16 @@
 // files and as slot-sliced segments, must recover to the state of the
 // chain applied in forward order, applying each distinct key once. Keys a
 // store holds before recovery keep the forward-order outcome.
+//
+// The merger is the same fold plus the capture pipeline: a collapsed
+// chain recovers to the unmerged chain's state, is laid out segment K =
+// shard K, is byte-identical across runs, and leaves recovery's counters
+// alone.
 
+#include <algorithm>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -16,8 +24,10 @@
 
 #include "checkpoint/ckpt_file.h"
 #include "checkpoint/ckpt_storage.h"
+#include "checkpoint/merger.h"
 #include "db/database.h"
 #include "gtest/gtest.h"
+#include "obs/obs.h"
 #include "recovery/recovery_manager.h"
 #include "storage/sharded_store.h"
 #include "tests/test_util.h"
@@ -255,6 +265,164 @@ TEST(ChainFoldTest, DatabaseLoadBeforeRecover) {
   EXPECT_EQ(stats.entries_applied, DistinctKeys(chain));
   ASSERT_TRUE(db->Start().ok());
   EXPECT_EQ(testing_util::DbToMap(db.get()), ForwardOracle(initial, chain));
+}
+
+// Writes `chain` into `dir` (segment K = shard K of `shards`), so
+// storage.RecoveryChain() is the whole chain.
+void WriteChain(CheckpointStorage* storage, const std::vector<Entries>& chain,
+                uint32_t shards) {
+  ASSERT_TRUE(storage->Init().ok());
+  for (size_t i = 0; i < chain.size(); ++i) {
+    WriteCheckpoint(storage, i + 1,
+                    i == 0 ? CheckpointType::kFull : CheckpointType::kPartial,
+                    chain[i], Layout::kShardSegments, shards);
+  }
+}
+
+StateMap RecoverToMap(CheckpointStorage* storage, uint32_t shards) {
+  ShardedStore store(kMaxRecords, shards);
+  RecoveryStats stats;
+  EXPECT_TRUE(RecoveryManager::LoadCheckpoints(storage, &store, &stats).ok());
+  EXPECT_EQ(stats.checkpoints_rejected, 0u);
+  return StoreToMap(store);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// A collapse of the whole chain, or of a prefix of it, recovers to the
+// unmerged chain's state.
+TEST(MergerTest, MergedChainRecoversLikeUnmergedChain) {
+  for (uint32_t shards : {1u, 4u}) {
+    for (uint64_t seed = 500; seed < 508; ++seed) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " seed=" + std::to_string(seed));
+      Rng rng(seed);
+      std::vector<Entries> chain = RandomChain(rng);
+      TempDir dir;
+      CheckpointStorage storage(dir.path(), 0);
+      WriteChain(&storage, chain, shards);
+      StateMap unmerged;
+      ASSERT_TRUE(
+          testing_util::ChainToMap(storage.RecoveryChain(), &unmerged).ok());
+      ASSERT_EQ(unmerged, ForwardOracle({}, chain));
+
+      size_t max_partials = 1 + seed % 3;
+      CheckpointMerger merger(&storage, kMaxRecords, shards);
+      bool did_merge = false;
+      ASSERT_TRUE(merger.CollapseOnce(max_partials, &did_merge).ok());
+      ASSERT_TRUE(did_merge);
+      std::vector<CheckpointInfo> merged = storage.RecoveryChain();
+      size_t taken = std::min(chain.size() - 1, max_partials);
+      ASSERT_EQ(merged.size(), chain.size() - taken);
+      EXPECT_EQ(merged[0].type, CheckpointType::kFull);
+      EXPECT_EQ(merged[0].id, taken + 1);
+      EXPECT_EQ(merged[0].vpoc_lsn, (taken + 1) * 10);
+      EXPECT_EQ(RecoverToMap(&storage, shards), unmerged);
+      StateMap via_files;
+      ASSERT_TRUE(testing_util::ChainToMap(merged, &via_files).ok());
+      EXPECT_EQ(via_files, unmerged);
+    }
+  }
+}
+
+// At 4 shards the merged checkpoint is 4 segments, and segment K holds
+// exactly shard K's live keys: the layout every capture writes.
+TEST(MergerTest, MergedSegmentKHoldsShardK) {
+  constexpr uint32_t kShards = 4;
+  Rng rng(600);
+  std::vector<Entries> chain = RandomChain(rng);
+  TempDir dir;
+  CheckpointStorage storage(dir.path(), 0);
+  WriteChain(&storage, chain, kShards);
+  CheckpointMerger merger(&storage, kMaxRecords, kShards);
+  bool did_merge = false;
+  ASSERT_TRUE(merger.CollapseOnce(100, &did_merge).ok());
+  std::vector<CheckpointInfo> merged = storage.RecoveryChain();
+  ASSERT_EQ(merged.size(), 1u);
+  ASSERT_EQ(merged[0].segments.size(), kShards);
+  uint64_t entries = 0;
+  for (uint32_t k = 0; k < kShards; ++k) {
+    EXPECT_EQ(merged[0].segments[k],
+              storage.SegmentPathFor(merged[0].id, CheckpointType::kFull, k));
+    CheckpointFileReader reader;
+    ASSERT_TRUE(reader.Open(merged[0].segments[k]).ok());
+    EXPECT_EQ(reader.type(), CheckpointType::kFull);
+    ASSERT_TRUE(reader
+                    .ReadAll([&](const CheckpointEntry& e) -> Status {
+                      EXPECT_FALSE(e.tombstone);
+                      EXPECT_EQ(ShardedStore::ShardOfKey(e.key, kShards), k)
+                          << "key " << e.key << " in segment " << k;
+                      ++entries;
+                      return Status::OK();
+                    })
+                    .ok());
+  }
+  EXPECT_EQ(entries, ForwardOracle({}, chain).size());
+  EXPECT_EQ(merged[0].num_entries, entries);
+}
+
+// The fold runs on one thread in a fixed order, so collapsing the same
+// chain twice writes the same bytes.
+TEST(MergerTest, MergedBytesAreDeterministic) {
+  for (uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Rng rng(700 + shards);
+    std::vector<Entries> chain = RandomChain(rng);
+    std::vector<std::string> bytes[2];
+    TempDir dirs[2];
+    for (int run = 0; run < 2; ++run) {
+      CheckpointStorage storage(dirs[run].path(), 0);
+      WriteChain(&storage, chain, shards);
+      CheckpointMerger merger(&storage, kMaxRecords, shards);
+      bool did_merge = false;
+      ASSERT_TRUE(merger.CollapseOnce(100, &did_merge).ok());
+      std::vector<CheckpointInfo> merged = storage.RecoveryChain();
+      ASSERT_EQ(merged.size(), 1u);
+      for (const std::string& file : merged[0].files()) {
+        bytes[run].push_back(ReadFile(file));
+      }
+    }
+    ASSERT_EQ(bytes[0].size(), shards);
+    EXPECT_EQ(bytes[0], bytes[1]);
+  }
+}
+
+// A merge folds with recovery's code but is not a recovery: the
+// calcdb.recovery.* counters stay where they were.
+TEST(MergerTest, MergeLeavesRecoveryCountersUnchanged) {
+#if CALCDB_OBS_ENABLED
+  const char* kCounters[] = {
+      "calcdb.recovery.entries_applied",
+      "calcdb.recovery.entries_skipped",
+      "calcdb.recovery.checkpoint_read_bytes",
+      "calcdb.recovery.segments_loaded",
+      "calcdb.recovery.validate_us",
+      "calcdb.recovery.checkpoints_rejected",
+  };
+  auto sums = [&] {
+    std::vector<uint64_t> out;
+    for (const char* name : kCounters) {
+      out.push_back(obs::MetricsRegistry::Global().GetCounter(name)->Sum());
+    }
+    return out;
+  };
+  Rng rng(800);
+  std::vector<Entries> chain = RandomChain(rng);
+  TempDir dir;
+  CheckpointStorage storage(dir.path(), 0);
+  WriteChain(&storage, chain, 4);
+  std::vector<uint64_t> before = sums();
+  CheckpointMerger merger(&storage, kMaxRecords, 4);
+  bool did_merge = false;
+  ASSERT_TRUE(merger.CollapseOnce(100, &did_merge).ok());
+  ASSERT_TRUE(did_merge);
+  EXPECT_EQ(sums(), before);
+#else
+  GTEST_SKIP() << "built with -DCALCDB_OBS=OFF; no counters to compare";
+#endif
 }
 
 }  // namespace

@@ -27,7 +27,7 @@ TEST(CheckpointFileTest, WriteReadRoundtrip) {
   std::string path = dir.path() + "/ckpt";
   CheckpointFileWriter writer;
   ASSERT_TRUE(
-      writer.Open(path, CheckpointType::kFull, 3, 77, 0).ok());
+      writer.Open(path, CheckpointType::kFull, 3, 77, {}).ok());
   ASSERT_TRUE(writer.Append(1, "one").ok());
   ASSERT_TRUE(writer.Append(2, std::string(1000, 'x')).ok());
   ASSERT_TRUE(writer.Finish().ok());
@@ -56,7 +56,7 @@ TEST(CheckpointFileTest, Tombstones) {
   std::string path = dir.path() + "/ckpt";
   CheckpointFileWriter writer;
   ASSERT_TRUE(
-      writer.Open(path, CheckpointType::kPartial, 1, 0, 0).ok());
+      writer.Open(path, CheckpointType::kPartial, 1, 0, {}).ok());
   ASSERT_TRUE(writer.Append(5, "alive").ok());
   ASSERT_TRUE(writer.AppendTombstone(6).ok());
   ASSERT_TRUE(writer.Finish().ok());
@@ -83,7 +83,7 @@ TEST(CheckpointFileTest, TruncatedFileRejected) {
   TempDir dir;
   std::string path = dir.path() + "/ckpt";
   CheckpointFileWriter writer;
-  ASSERT_TRUE(writer.Open(path, CheckpointType::kFull, 1, 0, 0).ok());
+  ASSERT_TRUE(writer.Open(path, CheckpointType::kFull, 1, 0, {}).ok());
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(writer.Append(static_cast<uint64_t>(i), "vvvv").ok());
   }
@@ -101,7 +101,7 @@ TEST(CheckpointFileTest, CorruptedPayloadRejected) {
   TempDir dir;
   std::string path = dir.path() + "/ckpt";
   CheckpointFileWriter writer;
-  ASSERT_TRUE(writer.Open(path, CheckpointType::kFull, 1, 0, 0).ok());
+  ASSERT_TRUE(writer.Open(path, CheckpointType::kFull, 1, 0, {}).ok());
   ASSERT_TRUE(writer.Append(1, "payload-payload").ok());
   ASSERT_TRUE(writer.Finish().ok());
   FILE* f = fopen(path.c_str(), "r+b");
@@ -168,7 +168,7 @@ TEST(CheckpointFileTest, EntriesSpanManyBlockSeals) {
                        static_cast<char>('a' + key % 26));
   };
   CheckpointFileWriter writer;
-  ASSERT_TRUE(writer.Open(path, CheckpointType::kPartial, 5, 99, 0).ok());
+  ASSERT_TRUE(writer.Open(path, CheckpointType::kPartial, 5, 99, {}).ok());
   uint64_t key = 0;
   while (writer.bytes_written() < 3 * kBlock + kBlock / 2) {
     if (key % 11 == 10) {
@@ -239,7 +239,7 @@ TEST(CheckpointFileTest, UnsupportedVersionRejected) {
   TempDir dir;
   std::string path = dir.path() + "/ckpt";
   CheckpointFileWriter writer;
-  ASSERT_TRUE(writer.Open(path, CheckpointType::kFull, 1, 0, 0).ok());
+  ASSERT_TRUE(writer.Open(path, CheckpointType::kFull, 1, 0, {}).ok());
   ASSERT_TRUE(writer.Append(1, "v").ok());
   ASSERT_TRUE(writer.Finish().ok());
   // Bump the version field (right after the 8-byte magic) past anything
@@ -276,7 +276,7 @@ TEST(CheckpointFileTest, BlockDecoderStraddlesBlocksAndLargeValues) {
   std::vector<CheckpointEntry> written;
   Rng rng(5);
   CheckpointFileWriter writer;
-  ASSERT_TRUE(writer.Open(path, CheckpointType::kPartial, 4, 8, 0).ok());
+  ASSERT_TRUE(writer.Open(path, CheckpointType::kPartial, 4, 8, {}).ok());
   for (uint64_t key = 0; writer.bytes_written() < 3 * kBlock; ++key) {
     CheckpointEntry e;
     e.key = key;
@@ -350,7 +350,7 @@ TEST(CheckpointFileTest, BlockDecoderTruncationIsTorn) {
   TempDir dir;
   std::string path = dir.path() + "/ckpt";
   CheckpointFileWriter writer;
-  ASSERT_TRUE(writer.Open(path, CheckpointType::kPartial, 1, 0, 0).ok());
+  ASSERT_TRUE(writer.Open(path, CheckpointType::kPartial, 1, 0, {}).ok());
   for (uint64_t key = 0; writer.bytes_written() < 72 * 1024; ++key) {
     ASSERT_TRUE((key % 7 == 3 ? writer.AppendTombstone(key)
                               : writer.Append(key, std::string(key % 61, 'x')))
@@ -377,7 +377,7 @@ TEST(CheckpointFileTest, BlockDecoderFlippedByteIsCorruption) {
   std::vector<bool> crc_covered;  // by file offset: key or value byte
   {
     CheckpointFileWriter writer;
-    ASSERT_TRUE(writer.Open(path, CheckpointType::kPartial, 1, 0, 0).ok());
+    ASSERT_TRUE(writer.Open(path, CheckpointType::kPartial, 1, 0, {}).ok());
     crc_covered.assign(kHeader, false);
     for (uint64_t key = 0; key < 60; ++key) {
       if (key % 5 == 4) {
@@ -563,7 +563,7 @@ TEST(MergerTest, CollapseMergesLatestWins) {
     info.path = storage.PathFor(id, type);
     CheckpointFileWriter writer;
     ASSERT_TRUE(
-        writer.Open(info.path, type, id, vpoc, 0).ok());
+        writer.Open(info.path, type, id, vpoc, {}).ok());
     for (const CheckpointEntry& e : entries) {
       if (e.tombstone) {
         ASSERT_TRUE(writer.AppendTombstone(e.key).ok());
@@ -583,7 +583,7 @@ TEST(MergerTest, CollapseMergesLatestWins) {
   write_ckpt(3, CheckpointType::kPartial,
              {{3, true, ""}, {4, false, "d3"}}, 30);
 
-  CheckpointMerger merger(&storage);
+  CheckpointMerger merger(&storage, /*max_records=*/64, /*num_shards=*/1);
   bool did_merge = false;
   ASSERT_TRUE(merger.CollapseOnce(10, &did_merge).ok());
   EXPECT_TRUE(did_merge);
@@ -615,7 +615,7 @@ TEST(MergerTest, CollapseRespectsBatchLimit) {
     info.vpoc_lsn = id;
     info.path = storage.PathFor(id, type);
     CheckpointFileWriter writer;
-    ASSERT_TRUE(writer.Open(info.path, type, id, id, 0).ok());
+    ASSERT_TRUE(writer.Open(info.path, type, id, id, {}).ok());
     ASSERT_TRUE(writer.Append(id, "v" + std::to_string(id)).ok());
     ASSERT_TRUE(writer.Finish().ok());
     info.num_entries = 1;
@@ -625,7 +625,7 @@ TEST(MergerTest, CollapseRespectsBatchLimit) {
   for (uint64_t id = 2; id <= 6; ++id) {
     write_simple(id, CheckpointType::kPartial);
   }
-  CheckpointMerger merger(&storage);
+  CheckpointMerger merger(&storage, /*max_records=*/64, /*num_shards=*/1);
   bool did_merge = false;
   ASSERT_TRUE(merger.CollapseOnce(2, &did_merge).ok());
   EXPECT_TRUE(did_merge);
@@ -644,7 +644,7 @@ TEST(MergerTest, StopBackgroundDoesNotWaitOutThePoll) {
   TempDir dir;
   CheckpointStorage storage(dir.path(), 0);
   ASSERT_TRUE(storage.Init().ok());
-  CheckpointMerger merger(&storage);
+  CheckpointMerger merger(&storage, /*max_records=*/64, /*num_shards=*/1);
   merger.StartBackground(/*trigger_batch=*/1, /*poll_ms=*/1000);
   SleepMicros(50 * 1000);  // let the thread reach its wait
   Stopwatch sw;
@@ -656,7 +656,7 @@ TEST(MergerTest, NothingToMerge) {
   TempDir dir;
   CheckpointStorage storage(dir.path(), 0);
   ASSERT_TRUE(storage.Init().ok());
-  CheckpointMerger merger(&storage);
+  CheckpointMerger merger(&storage, /*max_records=*/64, /*num_shards=*/1);
   bool did_merge = true;
   ASSERT_TRUE(merger.CollapseOnce(4, &did_merge).ok());
   EXPECT_FALSE(did_merge);

@@ -286,6 +286,7 @@ const MatrixEntry kMatrix[] = {
     {"manifest.rename", 2, "calc", 0, 0},
     {"merge.replace", 1, "pcalc", 0, 3},
     {"merge.persist", 1, "pcalc", 0, 3},
+    {"merge.persist", 1, "pcalc", 2, 3},
     {"base_ckpt.register", 1, "calc", 0, 0},
     {"log.batch_append", 1, "calc", 0, 0},
     {"log.batch_append", 5, "calc", 0, 0},

@@ -216,7 +216,9 @@ TEST_F(FaultInjectionTest, MergeErrorsPropagate) {
     OpenBankDb(dir, &db, CheckpointAlgorithm::kPCalc, /*storage_shards=*/0,
                /*with_streamer=*/false, /*base_checkpoint=*/true);
     for (int i = 0; i < 3; ++i) ASSERT_TRUE(db->Checkpoint().ok());
-    CheckpointMerger merger(db->checkpoint_storage());
+    CheckpointMerger merger(db->checkpoint_storage(),
+                            db->store()->max_records(),
+                            db->store()->num_shards());
     fault::ArmError(point);
     bool did_merge = false;
     Status st = merger.CollapseOnce(3, &did_merge);
@@ -231,6 +233,45 @@ TEST_F(FaultInjectionTest, MergeErrorsPropagate) {
     EXPECT_TRUE(merger.CollapseOnce(3, &did_merge).ok());
     EXPECT_EQ(did_merge, std::string(point) == "merge.replace");
   }
+}
+
+/// A merge that fails to persist its manifest must leave the old chain
+/// loadable after a restart: the inputs may be unlinked only once the
+/// persisted manifest drops them. The bank is Loaded once and never
+/// re-seeded, so every row the restart restores comes from checkpoints.
+TEST_F(FaultInjectionTest, MergePersistFailureKeepsOldChainAfterRestart) {
+  TempDir dir;
+  StateMap expected;
+  {
+    std::unique_ptr<Database> db;
+    OpenBankDb(dir, &db, CheckpointAlgorithm::kPCalc, /*storage_shards=*/0,
+               /*with_streamer=*/false, /*base_checkpoint=*/true);
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(db->Checkpoint().ok());
+    std::vector<CheckpointInfo> chain =
+        db->checkpoint_storage()->RecoveryChain();
+    ASSERT_EQ(chain.size(), 4u);  // base + three partials
+    ASSERT_TRUE(testing_util::ChainToMap(chain, &expected).ok());
+    ASSERT_EQ(expected.size(), 16u);
+    CheckpointMerger merger(db->checkpoint_storage(),
+                            db->store()->max_records(),
+                            db->store()->num_shards());
+    fault::ArmError("merge.persist");
+    bool did_merge = false;
+    ASSERT_FALSE(merger.CollapseOnce(3, &did_merge).ok());
+    ASSERT_TRUE(db->Shutdown().ok());
+  }
+  Options options;
+  options.max_records = 128;
+  options.algorithm = CheckpointAlgorithm::kNone;
+  options.checkpoint_dir = dir.path() + "/ckpt";
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(options, &db).ok());
+  RecoveryStats stats;
+  ASSERT_TRUE(db->Recover(nullptr, &stats).ok());
+  EXPECT_EQ(stats.checkpoints_rejected, 0u);
+  EXPECT_EQ(stats.checkpoints_loaded, 4u);
+  ASSERT_TRUE(db->Start().ok());
+  EXPECT_EQ(testing_util::DbToMap(db.get()), expected);
 }
 
 /// The background merger has no caller to return a Status to, so a
@@ -255,7 +296,8 @@ TEST_F(FaultInjectionTest, BackgroundMergeFailureIsReported) {
                                  ->Sum();
 #endif
 
-  CheckpointMerger merger(db->checkpoint_storage());
+  CheckpointMerger merger(db->checkpoint_storage(), db->store()->max_records(),
+                          db->store()->num_shards());
   fault::ArmError("merge.replace");
   // The first poll collapses at once and fails; the next would come a
   // second later, long after StopBackground below.

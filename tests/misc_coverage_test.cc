@@ -2,7 +2,9 @@
 // overload, recovery with unknown procedures, checkpoint path naming,
 // and commit-LSN plumbing.
 
+#include <atomic>
 #include <memory>
+#include <thread>
 
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
@@ -23,6 +25,37 @@ TEST(CheckpointStorageTest, PathForNaming) {
             "/tmp/x/ckpt_00000123.part");
 }
 
+// The background merger and a checkpoint cycle persist the manifest from
+// two threads. Each persist must succeed, and the manifest left behind
+// must be whole.
+TEST(CheckpointStorageTest, ConcurrentPersistsStayConsistent) {
+  TempDir dir;
+  CheckpointStorage storage(dir.path(), 0);
+  ASSERT_TRUE(storage.Init().ok());
+  for (uint64_t id = 1; id <= 64; ++id) {
+    CheckpointInfo info;
+    info.id = id;
+    info.type = id == 1 ? CheckpointType::kFull : CheckpointType::kPartial;
+    info.path = storage.PathFor(id, info.type);
+    storage.Register(info);
+  }
+  std::atomic<int> failures{0};
+  auto persist = [&] {
+    for (int i = 0; i < 50; ++i) {
+      if (!storage.PersistManifest().ok()) {
+        failures.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  };
+  std::thread other(persist);
+  persist();
+  other.join();
+  EXPECT_EQ(failures.load(std::memory_order_relaxed), 0);
+  CheckpointStorage reloaded(dir.path(), 0);
+  ASSERT_TRUE(reloaded.LoadManifest().ok());
+  EXPECT_EQ(reloaded.List().size(), 64u);
+}
+
 TEST(CheckpointStorageTest, ReplaceCollapsedDeletesRetiredFiles) {
   TempDir dir;
   CheckpointStorage storage(dir.path(), 0);
@@ -33,7 +66,7 @@ TEST(CheckpointStorageTest, ReplaceCollapsedDeletesRetiredFiles) {
     info.type = type;
     info.path = storage.PathFor(id, type);
     CheckpointFileWriter writer;
-    EXPECT_TRUE(writer.Open(info.path, type, id, 0, 0).ok());
+    EXPECT_TRUE(writer.Open(info.path, type, id, 0, {}).ok());
     EXPECT_TRUE(writer.Append(id, "v").ok());
     EXPECT_TRUE(writer.Finish().ok());
     storage.Register(info);
@@ -47,7 +80,7 @@ TEST(CheckpointStorageTest, ReplaceCollapsedDeletesRetiredFiles) {
   merged.path = storage.PathFor(2, CheckpointType::kFull);
   CheckpointFileWriter writer;
   ASSERT_TRUE(
-      writer.Open(merged.path, CheckpointType::kFull, 2, 0, 0).ok());
+      writer.Open(merged.path, CheckpointType::kFull, 2, 0, {}).ok());
   ASSERT_TRUE(writer.Append(1, "v").ok());
   ASSERT_TRUE(writer.Finish().ok());
   ASSERT_TRUE(storage.ReplaceCollapsed({1, 2}, merged).ok());

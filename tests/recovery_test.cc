@@ -199,7 +199,9 @@ TEST(PartialRecoveryTest, RecoveryAfterBackgroundCollapse) {
       ASSERT_TRUE(db->Checkpoint().ok());
     }
     // Foreground collapse of the first 3 partials.
-    CheckpointMerger merger(db->checkpoint_storage());
+    CheckpointMerger merger(db->checkpoint_storage(),
+                            db->store()->max_records(),
+                            db->store()->num_shards());
     bool did_merge = false;
     ASSERT_TRUE(merger.CollapseOnce(3, &did_merge).ok());
     ASSERT_TRUE(did_merge);

@@ -129,7 +129,8 @@ int RunWorker(const WorkerConfig& config) {
   st = db->Start();
   if (!st.ok()) return Fail("start", st);
 
-  CheckpointMerger merger(db->checkpoint_storage());
+  CheckpointMerger merger(db->checkpoint_storage(), db->store()->max_records(),
+                          db->store()->num_shards());
   TransferStream stream(config.seed, config.accounts);
   for (uint64_t i = 1; i <= config.txns; ++i) {
     st = db->executor()->Execute(kTransferProcId, stream.NextArgs(), 0);

@@ -55,6 +55,15 @@ ISSUE/CONTRIBUTING "Correctness tooling"):
                           on a weakly ordered CPU (ARM), so a reader can
                           accept a torn record (H.-J. Boehm, MSPC 2012).
                           x86 hides the bug and TSan cannot see it.
+  admission-recheck       A transaction that passes the admission gate
+                          (AdmitTransaction / WaitAdmitted) and then
+                          registers (BeginTxn) must re-check the gate
+                          (IsOpen) after registering, in the same block.
+                          A quiesce closes the gate and then drains the
+                          registered count, so a transaction that passed
+                          the gate but had not registered yet is invisible
+                          to the drain (txn/executor.cc's register-then-
+                          re-check loop is the correct shape).
   crash-point-registered  Every name passed to CALCDB_CRASH_POINT /
                           CALCDB_FAULT_STATUS / CALCDB_FAULT_POINT must
                           appear in the registry in
@@ -412,6 +421,45 @@ def check_naked_lock(path, code, raw_lines):
     return findings
 
 
+ADMIT_CALL_RE = re.compile(r"\b(?:AdmitTransaction|WaitAdmitted)\s*\(")
+REGISTER_CALL_RE = re.compile(r"\bBeginTxn\s*\(")
+GATE_RECHECK_RE = re.compile(r"\bIsOpen\s*\(")
+
+
+def block_end(code, start):
+    """Index of the brace that closes the block enclosing code[start]."""
+    depth = 0
+    for i in range(start, len(code)):
+        if code[i] == "{":
+            depth += 1
+        elif code[i] == "}":
+            depth -= 1
+            if depth < 0:
+                return i
+    return len(code)
+
+
+def check_admission_recheck(path, code, raw_lines):
+    findings = []
+    for admit in ADMIT_CALL_RE.finditer(code):
+        end = block_end(code, admit.end())
+        register = REGISTER_CALL_RE.search(code, admit.end(), end)
+        if register is None or GATE_RECHECK_RE.search(code, register.end(),
+                                                      end):
+            continue
+        lineno = line_of(code, register.start())
+        if waived(raw_lines, lineno, "admission-recheck"):
+            continue
+        findings.append(Finding(
+            path, lineno, "admission-recheck",
+            "transaction registers (BeginTxn) after the admission check "
+            "with no gate re-check (IsOpen) after registering: a quiesce "
+            "that closes the gate in between drains a count that does not "
+            "hold this transaction yet; register, then re-check the gate "
+            "and retry (txn/executor.cc)"))
+    return findings
+
+
 FAULT_MACRO_RE = re.compile(
     r'CALCDB_(?:CRASH_POINT|FAULT_STATUS|FAULT_POINT)\s*\(\s*"')
 
@@ -561,6 +609,7 @@ def lint_file(path, root):
     findings += check_include_hygiene(path, code, raw_lines)
     findings += check_obs_relaxed(path, code, raw_lines)
     findings += check_seqlock_payload(path, code, raw_lines)
+    findings += check_admission_recheck(path, code, raw_lines)
     findings += check_crash_point_registered(path, code, raw_lines, root)
     return findings
 
@@ -681,6 +730,14 @@ SELF_TEST_CASES = [
      "void Reset() { slot.seq.store(0, std::memory_order_release); }\n"
      "void Next() {\n  head_.store(0, std::memory_order_relaxed);\n"
      "  slot.seq.store(1, std::memory_order_release);\n}\n"),
+    ("admission-recheck", True, "txn/h.cc",
+     "void E() {\n  cp_->AdmitTransaction();\n"
+     "  txn.start_phase = phases_->BeginTxn();\n  Run(txn);\n}\n"),
+    ("admission-recheck", False, "txn/h.cc",
+     "void E() {\n  for (;;) {\n    cp_->AdmitTransaction();\n"
+     "    txn.start_phase = phases_->BeginTxn();\n"
+     "    if (gate_->IsOpen()) break;\n"
+     "    phases_->EndTxn(txn.start_phase);\n  }\n  Run(txn);\n}\n"),
     ("crash-point-registered", True, "checkpoint/f.cc",
      'void F() { CALCDB_CRASH_POINT("never.registered"); }\n'),
     ("crash-point-registered", True, "checkpoint/f.cc",
@@ -738,7 +795,8 @@ def self_test():
 CONCURRENCY_RULES = {
     "atomic-explicit-order", "refcount-acq-rel", "naked-lock",
     "phase-token-latch", "header-guard", "include-hygiene",
-    "obs-relaxed-order", "seqlock-payload-order", "crash-point-registered",
+    "obs-relaxed-order", "seqlock-payload-order", "admission-recheck",
+    "crash-point-registered",
 }
 
 EXPECT_RE = re.compile(r"expect-lint:\s*([\w\- ]+)")
